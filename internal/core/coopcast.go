@@ -26,18 +26,27 @@ import (
 // recover the remainder through symbol pulls, which the adverts direct at
 // neighbors that actually hold the wanted symbols.
 //
-// Reassembly state machine (per message, symState): assembling (0 <
-// have < K: advertise every round, pull from advertised holders, retry
-// every PullRetry) -> complete (have >= K: decode, deliver, store all N
-// symbols, advertise once per neighbor like a whole message) or failed
-// (decode error: inert; the store's MaxAge GC reclaims it). Partial
+// Repair is event-driven, so a coopcast delivery costs round trips, not
+// gossip periods: a node sends its full-bitmap advert to every neighbor
+// not known complete the moment it becomes complete (advertiseNow), and a
+// receiver pulls newly advertised symbols the moment the advert lands
+// (noteSymbolHolder -> pullSymbols). The periodic gossip round only carries
+// the adverts of still-incomplete assemblies and re-opened announcements.
+// One holder is asked for at most two thirds of a message per retry window
+// (pullShare), so that eager adverts do not put the whole payload back on
+// one link; symbols that arrive by pull are not re-striped down the tree.
+//
+// Reassembly state machine (per message, symState): assembling (0 <=
+// have < K: advertise every gossip round; every missing symbol some holder
+// advertises is requested from exactly one holder and stays in the
+// in-flight set until it arrives or is found lost) -> complete (have >= K:
+// decode, deliver, store all N symbols, advertise at once) or failed
+// (decode error: inert; the store's MaxAge GC reclaims it). PullRetry is
+// only the loss timer: it fires when a whole PullRetry passes after the
+// last request with the message still incomplete, drops holders that
+// answered nothing, clears the in-flight set and asks again. Partial
 // messages are never marked stable, so the store's MaxAge fallback
 // reclaims them — the GC path for partials needs no extra machinery.
-
-// maxSymbolsPerPull bounds how many symbols one pull round requests in
-// total, so a freshly-advertised large message does not trigger a burst
-// of repair traffic the size of the payload.
-const maxSymbolsPerPull = 64
 
 // symState tracks the reassembly of one coopcast message. It hangs off
 // the message's msgState; nil means the message is a classic whole-payload
@@ -54,7 +63,8 @@ type symState struct {
 	// with their last-seen bitmaps; nextHolder round-robins pull load.
 	holders    []symHolder
 	nextHolder int
-	// timer drives the pull rounds; pullArmed dedupes arming.
+	// timer is the pending PullDelay wait or PullRetry loss timer;
+	// pullArmed is set while it is pending.
 	timer     Timer
 	pullArmed bool
 }
@@ -62,6 +72,46 @@ type symState struct {
 type symHolder struct {
 	id   NodeID
 	have store.SymbolSet
+	// asked is what this holder was asked for since the loss timer last
+	// fired, less what was found lost; the union over holders is the
+	// in-flight set. last is the highest index of its open batch, -1 once
+	// that arrived.
+	asked store.SymbolSet
+	last  int
+}
+
+// holder returns the record of an advertising neighbor, nil if it has none.
+func (s *symState) holder(id NodeID) *symHolder {
+	for i := range s.holders {
+		if s.holders[i].id == id {
+			return &s.holders[i]
+		}
+	}
+	return nil
+}
+
+// inflight is every symbol some holder has been asked for: requested, so
+// not to be requested again before the loss timer says otherwise.
+func (s *symState) inflight() (set store.SymbolSet) {
+	for i := range s.holders {
+		for w, bits := range s.holders[i].asked {
+			set[w] |= bits
+		}
+	}
+	return set
+}
+
+// pullShare caps what one holder is asked for between two firings of the
+// loss timer at two thirds of the message, so that no link carries the
+// whole payload: the rest has to come over a second link. Without it every
+// node takes everything from whichever neighbor completes first, the same
+// low-latency link for every source. A node with a single neighbor has no
+// second link to wait for.
+func (n *Node) pullShare(total int) int {
+	if len(n.neighborOrder) < 2 {
+		return total
+	}
+	return (2*total + 2) / 3
 }
 
 func (s *symState) meta() store.SymbolMeta {
@@ -143,7 +193,54 @@ func (n *Node) multicastCoopcast(payload []byte) (MessageID, bool) {
 	for i, s := range symbols {
 		n.forwardSymbol(id, st, uint16(i), s, None)
 	}
+	n.advertiseNow(id, st)
 	return id, true
+}
+
+// advertiseNow sends this node's advert for one message to its neighbors at
+// once instead of leaving it to the gossip round, so their pulls start a
+// link delay after the event — becoming complete, or being stuck partial —
+// rather than up to a gossip cycle later. Each frame is a gossip summary
+// with one advert and the degrees every summary carries (the receiver
+// records them).
+func (n *Node) advertiseNow(id MessageID, st *msgState) {
+	for _, y := range n.neighborOrder {
+		ad, ok := n.symbolAdvertTo(id, st, n.slotBit(y))
+		if !ok {
+			continue
+		}
+		g := n.newGossip()
+		g.Syms = append(g.Syms, ad)
+		g.Degrees = n.degrees()
+		n.stats.GossipsSent++
+		n.stats.IDsAnnounced++
+		n.eagerAdverts++
+		n.env.Send(y, g)
+	}
+}
+
+// symbolAdvertTo builds the advert of a coopcast message for the neighbor
+// whose slot bit is given, or reports false when it is owed none. A
+// complete message is announced once per neighbor like a whole one; an
+// incomplete assembly advertises every time (its bitmap grows and
+// neighbors pull against it); a neighbor known able to reconstruct needs
+// neither.
+func (n *Node) symbolAdvertTo(id MessageID, st *msgState, bit uint64) (SymbolAdvert, bool) {
+	sym := st.sym
+	if sym.failed || st.heardMask&bit != 0 {
+		return SymbolAdvert{}, false
+	}
+	if sym.complete {
+		if st.announcedMask&bit != 0 {
+			return SymbolAdvert{}, false
+		}
+		st.announcedMask |= bit
+	}
+	return SymbolAdvert{
+		ID: id, Age: n.ageOf(st),
+		K: sym.k, N: sym.total, PayloadLen: sym.payloadLen,
+		Have: sym.have,
+	}, true
 }
 
 // forwardSymbol pushes one symbol down the single tree link the striping
@@ -218,30 +315,60 @@ func (n *Node) handleSymbol(from NodeID, m *Symbol) {
 		return
 	}
 	idx := int(m.Index)
-	if sym.have.Has(idx) {
+	if sym.have.Has(idx) || !n.store.PutSymbol(sid(m.ID), idx, m.Data, sym.meta(), n.env.Now()) {
+		// Already held, or tombstoned / geometry clash inside the store.
 		n.stats.SymbolDups++
-		return
-	}
-	if !n.store.PutSymbol(sid(m.ID), idx, m.Data, sym.meta(), n.env.Now()) {
-		// Tombstoned or geometry clash inside the store; nothing to track.
-		n.stats.SymbolDups++
-		return
-	}
-	sym.have.Add(idx)
-	sym.haveCnt++
-	n.stats.SymbolsRecv++
-	if st.traced && n.spanObs != nil {
-		now := n.env.Now()
-		kind := dtrace.KindSymbolPull
-		if m.ViaTree {
-			kind = dtrace.KindSymbolTree
+	} else {
+		sym.have.Add(idx)
+		sym.haveCnt++
+		n.stats.SymbolsRecv++
+		if st.traced && n.spanObs != nil {
+			now := n.env.Now()
+			kind := dtrace.KindSymbolPull
+			if m.ViaTree {
+				kind = dtrace.KindSymbolTree
+			}
+			n.emitSpan(kind, m.ID, from, m.Hop.Hops, now, now, n.ageOf(st), int64(idx))
 		}
-		n.emitSpan(kind, m.ID, from, m.Hop.Hops, now, now, n.ageOf(st), int64(idx))
+		if m.ViaTree {
+			// Only tree-borne symbols travel on down the tree. A child
+			// pulls what it misses as soon as this node completes, so
+			// re-striping pulled symbols too mostly duplicates that
+			// (live-bulk: symbol dup share 0.37 against 0.08, a fifth
+			// fewer messages per second) and refills the hottest link.
+			n.forwardSymbol(m.ID, st, m.Index, m.Data, from)
+		}
 	}
-	n.forwardSymbol(m.ID, st, m.Index, m.Data, from)
-	if !sym.complete && sym.haveCnt >= int(sym.k) {
+	if sym.complete {
+		return
+	}
+	if sym.haveCnt >= int(sym.k) {
 		n.completeAssembly(m.ID, st, from)
+	} else if !m.ViaTree && sym.batchOver(from, idx) && !n.pullSymbols(m.ID, st) {
+		if set := sym.inflight(); !set.AnyNotIn(&sym.have) {
+			// Stuck below K with nothing on its way and every holder at
+			// its share: offer what is held, so partial neighbors trade.
+			n.advertiseNow(m.ID, st)
+		}
 	}
+}
+
+// batchOver reports whether symbol idx from holder `from` ends the batch
+// that holder was last asked for, and if so closes it. A holder serves a
+// pull in index order over a FIFO link, so the highest index asked ends
+// the batch: whatever else it was asked for and is still missing was lost
+// on the way and leaves the in-flight set, to be asked for again at once
+// rather than after PullRetry.
+func (s *symState) batchOver(from NodeID, idx int) bool {
+	h := s.holder(from)
+	if h == nil || h.last != idx {
+		return false
+	}
+	h.last = -1
+	for w := range h.asked {
+		h.asked[w] &= s.have[w]
+	}
+	return true
 }
 
 // completeAssembly runs once the K-th symbol lands: reconstruct the
@@ -255,7 +382,12 @@ func (n *Node) completeAssembly(id MessageID, st *msgState, from NodeID) {
 	n.assembling--
 	p := fec.Params{K: int(sym.k), R: total - int(sym.k), SymbolSize: sym.symbolSize()}
 	coder, err := n.coderFor(p)
-	syms := make([][]byte, total)
+	if cap(n.symBufs) < total {
+		n.symBufs = make([][]byte, total)
+	}
+	syms := n.symBufs[:total]
+	// The scratch must not pin symbol buffers past this call.
+	defer clear(syms)
 	if err == nil {
 		n.store.RangeSymbols(sid(id), func(i int, data []byte) bool {
 			syms[i] = data
@@ -284,6 +416,7 @@ func (n *Node) completeAssembly(id MessageID, st *msgState, from NodeID) {
 	sym.pullArmed = false
 	n.stats.FECDecodes++
 	n.stats.PayloadsRecv++
+	n.advertiseNow(id, st)
 	n.deliverLocal(id, st, payload)
 	if n.obs != nil {
 		n.obs.ObserveReassembly(n.env.Now() - st.receivedAt)
@@ -356,39 +489,102 @@ func (n *Node) handleSymbolAdvert(from NodeID, ad *SymbolAdvert, linkLat time.Du
 }
 
 // noteSymbolHolder records (or refreshes) a holder's advertised bitmap and
-// arms the pull timer when the holder has something we miss. The first
-// pull waits out PullDelay from the message's estimated injection, giving
-// the tree stripes the same head start whole-message pulls grant the tree.
+// pulls what it newly makes available at once. Only the first pull can be
+// held back: it waits out PullDelay from the message's estimated
+// injection, giving the tree stripes the same head start whole-message
+// pulls grant the tree.
 func (n *Node) noteSymbolHolder(id MessageID, st *msgState, from NodeID, have *store.SymbolSet) {
 	sym := st.sym
-	found := false
-	for i := range sym.holders {
-		if sym.holders[i].id == from {
-			sym.holders[i].have = *have
-			found = true
-			break
+	if h := sym.holder(from); h != nil {
+		h.have = *have
+	} else {
+		sym.holders = append(sym.holders, symHolder{id: from, have: *have, last: -1})
+	}
+	if st.traced && n.spanObs != nil {
+		now := n.env.Now()
+		n.emitSpan(dtrace.KindAdvert, id, from, st.hops, now, now, n.ageOf(st), int64(have.Count()))
+	}
+	if wait := n.cfg.PullDelay - n.ageOf(st); wait > 0 {
+		if !sym.pullArmed {
+			sym.pullArmed = true
+			sym.timer = n.env.After(wait, func() { n.retrySymbolPulls(id) })
 		}
-	}
-	if !found {
-		sym.holders = append(sym.holders, symHolder{id: from, have: *have})
-	}
-	if sym.pullArmed || !have.AnyNotIn(&sym.have) {
 		return
 	}
-	wait := n.cfg.PullDelay - n.ageOf(st)
-	if wait < 0 {
-		wait = 0
-	}
-	sym.pullArmed = true
-	sym.timer = n.env.After(wait, func() { n.fireSymbolPulls(id) })
+	n.pullSymbols(id, st)
 }
 
-// fireSymbolPulls runs one pull round: every missing symbol some holder
-// advertises is requested from exactly one holder, rotating through the
-// holder list so repair load spreads. The round re-arms on PullRetry while
-// the message stays incomplete — lost symbols or lost pulls are simply
-// re-requested, and receipt shrinks the want set monotonically.
-func (n *Node) fireSymbolPulls(id MessageID) {
+// pullSymbols requests every missing symbol that is not in flight and that
+// some holder with room in its share advertises, each from exactly one
+// holder, rotating through the holder list so repair load spreads; it
+// reports whether it asked for anything. That is up to N - have symbols
+// where K - have would decode: on a link that sheds repair frames one lost
+// symbol would otherwise cost a whole PullRetry. The scan starts at an
+// index derived from the node ID, so neighbors capped on the same holder
+// end up with different subsets they can trade. Each request restarts the
+// loss timer.
+func (n *Node) pullSymbols(id MessageID, st *msgState) bool {
+	sym := st.sym
+	holders := sym.holders
+	if cap(n.symWants) < len(holders) {
+		n.symWants = make([]store.SymbolSet, len(holders))
+	}
+	wants := n.symWants[:len(holders)]
+	clear(wants)
+	total := int(sym.total)
+	share := n.pullShare(total)
+	inflight := sym.inflight()
+	start := int(uint32(n.id) * 2654435761 % uint32(total))
+	requested, cursor := false, sym.nextHolder
+	for c := 0; c < total; c++ {
+		i := (start + c) % total
+		if sym.have.Has(i) || inflight.Has(i) {
+			continue
+		}
+		for j := 0; j < len(holders); j++ {
+			h := (cursor + j) % len(holders)
+			if holders[h].have.Has(i) && holders[h].asked.Count() < share {
+				wants[h].Add(i)
+				holders[h].asked.Add(i)
+				cursor = h + 1
+				requested = true
+				break
+			}
+		}
+	}
+	if !requested {
+		// Nothing new to ask for; a fresher advert or the loss timer
+		// re-opens the round.
+		return false
+	}
+	sym.nextHolder = cursor % len(holders)
+	for h := range wants {
+		if wants[h].Empty() {
+			continue
+		}
+		holders[h].last = wants[h].Max()
+		n.stats.SymbolPullsSent++
+		if n.obs != nil {
+			n.obs.Event(EvPull, holders[h].id, PackMessageID(id), int64(wants[h].Count()))
+		}
+		if st.traced && n.spanObs != nil {
+			n.emitSpan(dtrace.KindPull, id, holders[h].id, st.hops, st.receivedAt, n.env.Now(), n.ageOf(st), int64(wants[h].Count()))
+		}
+		n.env.Send(holders[h].id, &SymbolPull{ID: id, Want: wants[h]})
+	}
+	sym.timer.Stop()
+	sym.pullArmed = true
+	sym.timer = n.env.After(n.cfg.PullRetry, func() { n.retrySymbolPulls(id) })
+	return true
+}
+
+// retrySymbolPulls is the loss timer: PullRetry has passed since the last
+// request (or the PullDelay head start is over) and the message is still
+// incomplete, so what is in flight is taken as lost. A holder that served
+// none of what it was asked for — it evicted the message, or is gone — is
+// dropped while another holder remains, so retries go to holders that can
+// serve; its next advert re-adds it.
+func (n *Node) retrySymbolPulls(id MessageID) {
 	if !n.running {
 		return
 	}
@@ -398,43 +594,23 @@ func (n *Node) fireSymbolPulls(id MessageID) {
 	}
 	sym := st.sym
 	sym.pullArmed = false
-	if sym.complete || sym.failed || len(sym.holders) == 0 {
+	if sym.complete || sym.failed {
 		return
 	}
-	wants := make([]store.SymbolSet, len(sym.holders))
-	requested, cursor := 0, sym.nextHolder
-	for i := 0; i < int(sym.total) && requested < maxSymbolsPerPull; i++ {
-		if sym.have.Has(i) {
-			continue
-		}
-		for j := 0; j < len(sym.holders); j++ {
-			h := (cursor + j) % len(sym.holders)
-			if sym.holders[h].have.Has(i) {
-				wants[h].Add(i)
-				cursor = h + 1
-				requested++
-				break
-			}
+	kept := sym.holders[:0]
+	for _, h := range sym.holders {
+		if h.asked.Empty() || h.asked.Intersects(&sym.have) {
+			kept = append(kept, h)
 		}
 	}
-	sym.nextHolder = cursor % len(sym.holders)
-	if requested == 0 {
-		// No known holder advertises anything we miss; stay quiet until a
-		// fresher advert re-arms the round.
-		return
+	if len(kept) > 0 {
+		// With nobody responsive, keep them all rather than stop asking.
+		sym.holders = kept
 	}
-	for h := range wants {
-		if wants[h].Empty() {
-			continue
-		}
-		n.stats.SymbolPullsSent++
-		if n.obs != nil {
-			n.obs.Event(EvPull, sym.holders[h].id, PackMessageID(id), int64(wants[h].Count()))
-		}
-		n.env.Send(sym.holders[h].id, &SymbolPull{ID: id, Want: wants[h]})
+	for i := range sym.holders {
+		sym.holders[i].asked, sym.holders[i].last = store.SymbolSet{}, -1
 	}
-	sym.pullArmed = true
-	sym.timer = n.env.After(n.cfg.PullRetry, func() { n.fireSymbolPulls(id) })
+	n.pullSymbols(id, st)
 }
 
 // handleSymbolPull serves the wanted symbols this node holds. Symbols it
@@ -468,6 +644,13 @@ func (n *Node) handleSymbolPull(from NodeID, m *SymbolPull) {
 		})
 	}
 }
+
+// EagerAdverts reports how many symbol adverts this node sent at once,
+// outside the gossip round. It is an accessor and not a Counters field
+// because the field set of Counters is part of the simulation benchmark's
+// result digest, which a change to coopcast — off in those workloads —
+// must leave bit-identical. Must run on the node's logical thread.
+func (n *Node) EagerAdverts() int64 { return n.eagerAdverts }
 
 // Assembling reports the node's in-progress coopcast reassemblies: how
 // many messages sit between first symbol and decode, and the age of the

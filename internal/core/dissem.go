@@ -414,23 +414,9 @@ func (n *Node) gossipRound() {
 		}
 		if st.sym != nil {
 			// Coopcast: advertise the symbol bitmap instead of a bare ID.
-			// Incomplete assemblies re-advertise every round (the bitmap
-			// grows and neighbors pull against it); complete ones announce
-			// once per neighbor like a whole message.
-			if st.sym.failed || st.heardMask&bit != 0 {
-				continue
+			if ad, ok := n.symbolAdvertTo(id, st, bit); ok {
+				g.Syms = append(g.Syms, ad)
 			}
-			if st.sym.complete {
-				if st.announcedMask&bit != 0 {
-					continue
-				}
-				st.announcedMask |= bit
-			}
-			g.Syms = append(g.Syms, SymbolAdvert{
-				ID: id, Age: n.ageOf(st),
-				K: st.sym.k, N: st.sym.total, PayloadLen: st.sym.payloadLen,
-				Have: st.sym.have,
-			})
 			continue
 		}
 		if (st.heardMask|st.announcedMask)&bit != 0 {

@@ -19,6 +19,9 @@ type fixture struct {
 	down map[NodeID]bool
 	// sent logs every transmission for assertions.
 	sent []sentMsg
+	// drop, when set, loses the transmissions it returns true for (they
+	// are still logged in sent).
+	drop func(from, to NodeID, m Message) bool
 }
 
 type sentMsg struct {
@@ -93,7 +96,7 @@ func (e *fixtureEnv) SendDatagram(to NodeID, m Message) { e.deliver(to, m) }
 
 func (e *fixtureEnv) deliver(to NodeID, m Message) {
 	e.f.sent = append(e.f.sent, sentMsg{from: e.id, to: to, msg: m})
-	if e.f.down[to] || e.f.down[e.id] {
+	if e.f.down[to] || e.f.down[e.id] || (e.f.drop != nil && e.f.drop(e.id, to, m)) {
 		return
 	}
 	target, ok := e.f.nodes[to]

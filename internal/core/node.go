@@ -86,6 +86,9 @@ type Node struct {
 	// not failed) symbol assembly, maintained at symState transitions so
 	// the gauge costs nothing to read.
 	assembling int
+	// eagerAdverts counts symbol adverts sent at once, outside the gossip
+	// round (see EagerAdverts).
+	eagerAdverts int64
 
 	// Anti-entropy sync state: round-robin cursor over neighbors and the
 	// last time a sync was initiated toward each peer (rate limit for the
@@ -135,10 +138,13 @@ type Node struct {
 	pool MessagePool
 
 	// Coopcast: cached erasure coder (rebuilt when the geometry changes)
-	// and the striping-target scratch slice (see coopcast.go).
+	// and scratch reused across messages — striping targets, per-holder
+	// pull sets, and the reassembly symbol table (see coopcast.go).
 	fecCoder   fec.Coder
 	fecParams  fec.Params
 	symTargets []NodeID
+	symWants   []store.SymbolSet
+	symBufs    [][]byte
 
 	// Free lists for the per-message bookkeeping records and reusable
 	// scratch, so steady-state dissemination allocates nothing.

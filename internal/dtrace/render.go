@@ -65,6 +65,9 @@ func deliveryLine(d *Delivery) string {
 	}
 	if d.Via == "fec" {
 		fmt.Fprintf(&b, " symbols=%d assembly=%s", d.Symbols, rdur(d.Assembly))
+		if d.Attempts > 0 {
+			fmt.Fprintf(&b, " wait=%s pulls=%d", rdur(d.Wait), d.Attempts)
+		}
 	}
 	return b.String()
 }

@@ -23,11 +23,14 @@ type Delivery struct {
 	// Age is the protocol's skew-free age estimate at delivery — the
 	// cross-substrate latency attribution.
 	Age time.Duration `json:"age"`
-	// Wait is advert→pull-request time and RTT is request→reply time;
-	// both are set only for pull deliveries.
+	// Wait is advert→pull-request time and RTT is request→reply time.
+	// RTT is set only for pull deliveries; an FEC delivery that pulled
+	// symbols has Wait too: first news of the message → first symbol
+	// pull, the time it sat waiting for a holder to advertise.
 	Wait time.Duration `json:"wait,omitempty"`
 	RTT  time.Duration `json:"rtt,omitempty"`
-	// Attempts counts pull requests sent before this delivery.
+	// Attempts counts pull requests (for FEC deliveries, symbol pulls)
+	// sent before this delivery.
 	Attempts int `json:"attempts,omitempty"`
 	// Symbols and Assembly describe FEC deliveries: symbols held at
 	// decode and first-symbol→decode time.
@@ -245,6 +248,10 @@ func stitchNode(spans []Span) *Delivery {
 			d.Symbols = int(deliver.Aux)
 		}
 		d.Assembly = deliver.End - deliver.Start
+		if firstPull != nil {
+			d.Wait = firstPull.End - firstPull.Start
+			d.Attempts = pulls
+		}
 		if firstSymbol != nil {
 			d.From = firstSymbol.From
 			d.Hops = int(firstSymbol.Hops)

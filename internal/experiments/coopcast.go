@@ -21,7 +21,10 @@ import (
 //   - repair traffic under loss: whole-mode repair re-sends the entire
 //     payload per pull, coopcast re-sends only the missing symbols — the
 //     average repair transfer stays near the symbol size no matter how
-//     large the payload grows (sublinear in payload size).
+//     large the payload grows (sublinear in payload size);
+//   - virtual delivery delay p50/p90 over every (message, node) pair: the
+//     latency side of the trade, since a coopcast receiver finishes
+//     through adverts and symbol pulls instead of one tree push.
 //
 // Delivery must stay total in both modes; loss is repaired by pulls (and
 // the sync backstop), never given up on.
@@ -44,6 +47,7 @@ func Coopcast(sc Scale, payloads []int, loss float64) *Report {
 		repairBytes int64
 		decodeFails int64
 		symbolPulls int64
+		p50, p90    time.Duration
 	}
 
 	run := func(coopcast bool, payload int) result {
@@ -120,6 +124,7 @@ func Coopcast(sc Scale, payloads []int, loss float64) *Report {
 			}
 		}
 		s := c.SumCounters()
+		cdf := c.Delays().CDF()
 		return result{
 			delivered:   delivered,
 			maxASLink:   stress.Max(),
@@ -128,13 +133,15 @@ func Coopcast(sc Scale, payloads []int, loss float64) *Report {
 			repairBytes: repairBytes,
 			decodeFails: s.FECDecodeFailures,
 			symbolPulls: s.SymbolPullsSent,
+			p50:         cdf.Quantile(0.50),
+			p90:         cdf.Quantile(0.90),
 		}
 	}
 
 	rep := &Report{
 		Name: fmt.Sprintf("Coopcast: erasure-coded bulk dissemination (%d nodes, %d ASes, %.0f%% loss)",
 			nodes, ases, loss*100),
-		Header: []string{"payload", "mode", "delivered", "max peer-link bytes", "max AS-link bytes", "repair xfers", "repair bytes", "avg repair xfer"},
+		Header: []string{"payload", "mode", "delivered", "max peer-link bytes", "max AS-link bytes", "repair xfers", "repair bytes", "avg repair xfer", "delay p50", "delay p90"},
 	}
 	for _, payload := range payloads {
 		whole := run(false, payload)
@@ -152,6 +159,8 @@ func Coopcast(sc Scale, payloads []int, loss float64) *Report {
 				fmt.Sprintf("%d", r.repairXfers),
 				fmt.Sprintf("%d", r.repairBytes),
 				fmt.Sprintf("%d", avg),
+				fmtDur(r.p50),
+				fmtDur(r.p90),
 			}
 		}
 		rep.Rows = append(rep.Rows, row("whole", whole), row("coopcast", coop))

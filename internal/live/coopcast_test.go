@@ -2,11 +2,13 @@ package live
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gocast/internal/core"
+	"gocast/internal/obs/promtest"
 )
 
 // TestCoopcastBulkDelivery drives the erasure-coded bulk path over the
@@ -67,5 +69,15 @@ func TestCoopcastBulkDelivery(t *testing.T) {
 	}
 	if decodes != 2 {
 		t.Fatalf("FEC decodes = %d, want 2 (one per receiver)", decodes)
+	}
+	// The publisher is complete at once and says so outside the gossip
+	// round; the counter reaches /metrics.
+	var sb strings.Builder
+	if err := c.Node(0).Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	const eager = "gocast_fec_symbol_adverts_eager_total"
+	if f := promtest.Parse(t, sb.String())[eager]; f == nil || f.Samples[eager] < 1 {
+		t.Fatalf("%s missing or zero on the publisher: %+v", eager, f)
 	}
 }

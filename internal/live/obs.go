@@ -239,6 +239,7 @@ func (n *Node) collect() {
 		storeLen     int
 		storeBytes   int64
 		assembling   int
+		eagerAdverts int64
 		oldestAsm    time.Duration
 	)
 	if err := n.call(func() {
@@ -254,6 +255,7 @@ func (n *Node) collect() {
 		storeLen = st.Len()
 		storeBytes = st.Bytes()
 		assembling, oldestAsm = n.coreN.Assembling()
+		eagerAdverts = n.coreN.EagerAdverts()
 	}); err == nil {
 		n.lastStats = s
 		n.lastStatus = StatusSnapshot{
@@ -277,6 +279,7 @@ func (n *Node) collect() {
 		n.oldestAsm = oldestAsm
 		n.mirrorCore(s, inc, degree, members, storeCtr, storeLen, storeBytes)
 		n.reg.Gauge("gocast_fec_assembling", "coopcast messages currently mid-reassembly (first symbol received, not decoded or failed)").Set(int64(assembling))
+		n.reg.Counter("gocast_fec_symbol_adverts_eager_total", "coopcast symbol adverts sent at once, outside the gossip round").Set(eagerAdverts)
 	}
 	if n.sbuf != nil {
 		n.reg.Counter("gocast_trace_spans_dropped_total", "dissemination trace spans evicted from the full span ring").Set(n.sbuf.Dropped())

@@ -138,3 +138,47 @@ func TestTracingOffLeavesNoSpans(t *testing.T) {
 		t.Fatalf("sampling off but %d spans recorded", got)
 	}
 }
+
+// TestTracingCoopcastShowsAdvertAndPull pins that the coopcast repair loop
+// leaves waypoints: a node finishes a bulk message through adverts and
+// symbol pulls, and the stitched fec delivery says how long it waited for a
+// holder and how many pulls it sent.
+func TestTracingCoopcastShowsAdvertAndPull(t *testing.T) {
+	const n = 24
+	cfg := coopcastTestConfig()
+	cfg.TraceSampleEvery = 1
+	spans := dtrace.NewBuffer(1 << 14)
+	c := New(Options{Nodes: n, Seed: 13, Config: cfg, Spans: spans})
+	c.BootstrapMembership(cfg.MemberViewSize / 2)
+	c.WireRandom(cfg.TargetDegree() / 2)
+	c.Start(0)
+	c.Run(60 * time.Second)
+	c.Inject(0, make([]byte, 64<<10))
+	c.Run(30 * time.Second)
+	if d := spans.Dropped(); d != 0 {
+		t.Fatalf("span buffer evicted %d spans", d)
+	}
+	kinds := map[dtrace.Kind]int{}
+	for _, s := range c.Spans() {
+		kinds[s.Kind]++
+	}
+	if kinds[dtrace.KindAdvert] == 0 || kinds[dtrace.KindPull] == 0 {
+		t.Fatalf("coopcast left %d advert and %d pull spans, want both", kinds[dtrace.KindAdvert], kinds[dtrace.KindPull])
+	}
+	traces := dtrace.Stitch(c.Spans())
+	if len(traces) != 1 {
+		t.Fatalf("stitched %d messages, want 1", len(traces))
+	}
+	pulled := 0
+	for _, d := range traces[0].Deliveries {
+		if d.Via == "fec" && d.Attempts > 0 {
+			pulled++
+			if d.Wait < 0 || d.Wait > d.Assembly {
+				t.Errorf("node %d: wait %v outside its assembly time %v", d.Node, d.Wait, d.Assembly)
+			}
+		}
+	}
+	if pulled == 0 || !strings.Contains(traces[0].Render(), " pulls=") {
+		t.Fatalf("no fec delivery attributes its symbol pulls:\n%s", traces[0].Render())
+	}
+}

@@ -142,6 +142,26 @@ func (s *SymbolSet) AnyNotIn(other *SymbolSet) bool {
 	return false
 }
 
+// Max returns the highest symbol index in the set, -1 when it is empty.
+func (s *SymbolSet) Max() int {
+	for w := SymbolWords - 1; w >= 0; w-- {
+		if s[w] != 0 {
+			return w<<6 + bits.Len64(s[w]) - 1
+		}
+	}
+	return -1
+}
+
+// Intersects reports whether the two sets share a symbol.
+func (s *SymbolSet) Intersects(other *SymbolSet) bool {
+	for w := range s {
+		if s[w]&other[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // GCResult reports one garbage-collection sweep.
 type GCResult struct {
 	// Reclaimed lists messages whose payload was freed this sweep (the
