@@ -33,6 +33,43 @@ func TestGFFieldAxioms(t *testing.T) {
 	}
 }
 
+// TestMulAddRowMatchesGFMul pins the table-driven kernel to the scalar
+// definition: every (coefficient, value) pair, and every length around the
+// unroll width so the blocked part and the tail both run, on top of a
+// non-zero accumulator.
+func TestMulAddRowMatchesGFMul(t *testing.T) {
+	src := make([]byte, 256)
+	for v := range src {
+		src[v] = byte(v)
+	}
+	for c := 0; c < 256; c++ {
+		dst := make([]byte, 256)
+		for i := range dst {
+			dst[i] = byte(i * 31)
+		}
+		mulAddRow(dst, src, byte(c))
+		for v := range src {
+			if want := byte(v*31) ^ gfMul(byte(c), byte(v)); dst[v] != want {
+				t.Fatalf("mulAddRow c=%d v=%d: got %#x, want %#x", c, v, dst[v], want)
+			}
+		}
+	}
+	for n := 0; n <= 17; n++ {
+		for _, c := range []byte{0, 1, 2, 0x8e, 0xff} {
+			src := randPayload(n, int64(n))
+			dst := randPayload(n+3, int64(n)+100) // longer than src: the excess must stay untouched
+			want := append([]byte(nil), dst...)
+			for i, v := range src {
+				want[i] ^= gfMul(c, v)
+			}
+			mulAddRow(dst, src, c)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("mulAddRow len=%d c=%d: got %x, want %x", n, c, dst, want)
+			}
+		}
+	}
+}
+
 // TestAnyKOfN is the MDS property the protocol depends on: for a spread of
 // geometries, every sampled K-subset of the N symbols reconstructs the
 // payload exactly.

@@ -1,16 +1,20 @@
 package fec
 
 // GF(256) arithmetic over the AES-adjacent primitive polynomial
-// x^8 + x^4 + x^3 + x^2 + 1 (0x11d), with log/exp tables built once at
-// init. Multiplication is two table lookups and one add; inversion is one
-// lookup. The tables cost 768 bytes and make symbol-rate coding cheap
-// enough that encode/decode throughput is memory-bound, not ALU-bound.
+// x^8 + x^4 + x^3 + x^2 + 1 (0x11d). Scalar operations (matrix setup and
+// inversion) use log/exp tables: two lookups and an add per multiply, one
+// lookup per inverse. The byte-rate kernel, mulAddRow, uses a full product
+// table instead: gfMulTable[c] is the 256-byte row of c·v for every v, so a
+// symbol is coded with one lookup per byte and no zero test. All tables are
+// built once at init; the product table is 64 KiB, of which one coefficient
+// row (256 bytes, four cache lines) is hot per mulAddRow call.
 
 const gfPoly = 0x11d
 
 var (
-	gfExp [512]byte // doubled so mul can skip the mod-255 reduction
-	gfLog [256]byte
+	gfExp      [512]byte // doubled so mul can skip the mod-255 reduction
+	gfLog      [256]byte
+	gfMulTable [256][256]byte // gfMulTable[a][b] = a·b
 )
 
 func init() {
@@ -25,6 +29,11 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for a := range gfMulTable {
+		for b := range gfMulTable[a] {
+			gfMulTable[a][b] = gfMul(byte(a), byte(b))
+		}
 	}
 }
 
@@ -50,7 +59,8 @@ func gfDiv(a, b byte) byte {
 }
 
 // mulAddRow accumulates dst ^= c * src byte-wise. c == 0 is a no-op and
-// c == 1 a plain XOR, the two cases the systematic layout hits most.
+// c == 1 a plain XOR; every other coefficient is one product-table lookup
+// per byte, unrolled by eight so the bounds checks are paid once per block.
 func mulAddRow(dst, src []byte, c byte) {
 	switch c {
 	case 0:
@@ -60,11 +70,22 @@ func mulAddRow(dst, src []byte, c byte) {
 			dst[i] ^= v
 		}
 	default:
-		logC := int(gfLog[c])
+		mt := &gfMulTable[c]
+		dst = dst[:len(src)]
+		for len(src) >= 8 {
+			s, d := src[:8:8], dst[:8:8]
+			d[0] ^= mt[s[0]]
+			d[1] ^= mt[s[1]]
+			d[2] ^= mt[s[2]]
+			d[3] ^= mt[s[3]]
+			d[4] ^= mt[s[4]]
+			d[5] ^= mt[s[5]]
+			d[6] ^= mt[s[6]]
+			d[7] ^= mt[s[7]]
+			src, dst = src[8:], dst[8:]
+		}
 		for i, v := range src {
-			if v != 0 {
-				dst[i] ^= gfExp[logC+int(gfLog[v])]
-			}
+			dst[i] ^= mt[v]
 		}
 	}
 }

@@ -68,7 +68,11 @@ func FastConfig() core.Config {
 	cfg.HeartbeatPeriod = time.Second
 	cfg.NeighborTimeout = time.Second
 	cfg.RootTimeout = 3 * time.Second
-	cfg.PullRetry = 200 * time.Millisecond
+	// PullRetry is the loss timer of a pull, and a record only stays
+	// pullable while it is in its holders' bounded stores: at a few hundred
+	// bulk messages a second an 8 MiB store turns over in 0.4 s, so the
+	// timer leaves room for four rounds of asking inside that.
+	cfg.PullRetry = 100 * time.Millisecond
 	cfg.ReclaimAfter = 30 * time.Second
 	cfg.QuarantineWindow = 2 * time.Second
 	cfg.SyncInterval = 2 * time.Second

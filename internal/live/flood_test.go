@@ -60,7 +60,9 @@ func runFloodOverload(t *testing.T, floodFor time.Duration) {
 	pub.BecomeRoot()
 	pub.SetLandmarks([]core.Entry{pub.Entry()})
 	recv.Join(pub.Entry())
-	waitFor(t, 5*time.Second, "receiver joined the tree", func() bool {
+	// A joiner that misses the first tree wave gets its parent from the
+	// next heartbeat, HeartbeatPeriod (5s here) later: the wait spans three.
+	waitFor(t, 15*time.Second, "receiver joined the tree", func() bool {
 		return recv.Parent() == 0
 	})
 

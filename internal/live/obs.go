@@ -209,6 +209,7 @@ func (n *Node) setupObs() {
 			for _, c := range []string{CtrDials, CtrDialErrors, CtrRedials, CtrBackoffResets,
 				CtrWriteErrors, CtrFramesRequeue, CtrFramesDropped, CtrQueueOverflow,
 				CtrEncodeErrors, CtrIdleReaped, CtrPeersFailed,
+				CtrWriteBatches, CtrFramesWritten,
 				CtrDroppedCritical, CtrDroppedRepair, CtrDroppedBackground,
 				CtrPeerPauses, CtrPeerResumes} {
 				reg.Counter("gocast_transport_"+c+"_total", "transport counter "+c)

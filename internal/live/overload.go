@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"log"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -206,7 +207,8 @@ func (r *funcRing) pop() (func(), bool) {
 
 // mailbox is the node's prioritized event queue: one lane per core.Class,
 // popped Critical first. Critical admission may block (backpressure);
-// Repair and Background admission never blocks and sheds on overflow.
+// Repair and Background admission never blocks (it yields the processor
+// once to the loop) and sheds on overflow.
 type mailbox struct {
 	mu       sync.Mutex
 	space    sync.Cond // signaled when the Critical lane frees a slot or on stop
@@ -241,6 +243,16 @@ func (mb *mailbox) push(cls core.Class, fn func(), wait bool) admit {
 		for r.full() && !mb.stopped {
 			mb.space.Wait()
 		}
+	} else if cls != core.ClassCritical && r.full() {
+		// A full lane often only means the event loop has not run since
+		// the poster — a transport reader working through a buffer of
+		// frames — filled it. Yield the processor once before shedding: on
+		// a saturated machine a poster that sheds is burning the CPU time
+		// the loop needs to make room. A lane still full afterwards is
+		// sustained overload, and the work is shed as before.
+		mb.mu.Unlock()
+		runtime.Gosched()
+		mb.mu.Lock()
 	}
 	if mb.stopped {
 		mb.mu.Unlock()

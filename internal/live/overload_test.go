@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -253,5 +254,69 @@ func TestGovernorHysteresis(t *testing.T) {
 	}
 	if g.cur != core.OverloadDegraded {
 		t.Fatalf("shedding activity -> %v, want degraded", g.cur)
+	}
+}
+
+// TestMailboxYieldsBeforeShedding pins the transient-overflow rule: a
+// poster that finds the Repair lane full yields the processor once, and a
+// loop that was merely waiting for the CPU drains the lane so nothing is
+// shed; a loop that cannot make room (here: parked) still sheds. One P
+// makes the first half deterministic: the consumer cannot run until the
+// poster yields.
+func TestMailboxYieldsBeforeShedding(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const lane = 8
+	mb := newMailbox([core.NumClasses]int{lane, lane, lane}, true)
+	ran := 0
+	gate := make(chan struct{})
+	done := make(chan struct{})
+	go func() { // the event loop
+		defer close(done)
+		for range mb.wake {
+			for {
+				fn, ok := mb.pop()
+				if !ok {
+					break
+				}
+				fn()
+			}
+		}
+	}()
+	admitted := 0
+	for i := 0; i < 3*lane; i++ {
+		if mb.push(core.ClassRepair, func() { ran++ }, false) == admitOK {
+			admitted++
+		}
+	}
+	// Every 61st scheduling round the Go scheduler serves its global queue
+	// first, and a yield then comes straight back; that can happen to one
+	// of the few yields here, never to two.
+	if shed := mb.shedTotal(); shed > 1 {
+		t.Fatalf("shed %d of %d units although the loop only needed the CPU", shed, 3*lane)
+	}
+
+	// Let the loop drain, then park it inside a closure: yielding cannot
+	// make room now.
+	for mb.depths()[core.ClassRepair] > 0 {
+		runtime.Gosched()
+	}
+	mb.push(core.ClassCritical, func() { <-gate }, false)
+	for mb.depths()[core.ClassCritical] > 0 {
+		runtime.Gosched()
+	}
+	shed := 0
+	for i := 0; i < 2*lane; i++ {
+		if mb.push(core.ClassRepair, func() { ran++ }, false) == admitShed {
+			shed++
+		}
+	}
+	if shed != lane {
+		t.Fatalf("shed %d of %d pushes with the loop parked, want %d", shed, 2*lane, lane)
+	}
+	close(gate)
+	close(mb.wake)
+	<-done
+	if ran != admitted+lane {
+		t.Fatalf("%d closures ran, want %d", ran, admitted+lane)
 	}
 }

@@ -23,13 +23,15 @@ const (
 	CtrDialErrors    = "tcp_dial_errors"     // failed dial attempts
 	CtrRedials       = "tcp_redials"         // successful dials that replaced a prior connection or retry
 	CtrBackoffResets = "tcp_backoff_resets"  // backoff returned to its base after a successful redial
-	CtrWriteErrors   = "tcp_write_errors"    // frame writes that failed (broken pipe, deadline)
-	CtrFramesRequeue = "tcp_frames_requeued" // frames salvaged from a broken connection and resent
+	CtrWriteErrors   = "tcp_write_errors"    // writes that failed (broken pipe, deadline)
+	CtrFramesRequeue = "tcp_frames_requeued" // frames not written in full when a write failed, put back for the next connection
 	CtrFramesDropped = "tcp_frames_dropped"  // reliable frames abandoned, all classes (shed, peer down, overflow)
 	CtrQueueOverflow = "tcp_queue_overflows" // times the Critical ring hit its hard cap and the peer was dropped
 	CtrEncodeErrors  = "tcp_encode_errors"   // frames that failed wire serialization
 	CtrIdleReaped    = "tcp_idle_reaped"     // outbound connections reaped for inactivity
 	CtrPeersFailed   = "tcp_peers_failed"    // peers reported down after redial attempts were exhausted
+	CtrWriteBatches  = "tcp_write_batches"   // write/writev calls made by the peer writers (one per writer wakeup)
+	CtrFramesWritten = "tcp_frames_written"  // frames written in full; ÷ tcp_write_batches = frames per syscall
 
 	// Per-class drop attribution and flow control (overload protection).
 	CtrDroppedCritical   = "tcp_frames_dropped_critical"   // Critical frames lost (peer drop or hard-cap overflow)
@@ -51,9 +53,10 @@ var ctrDroppedByClass = [core.NumClasses]string{
 type TCPOptions struct {
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline; a peer that stalls
-	// longer than this has its connection broken and redialed so the
-	// writer goroutine can never wedge forever (default 10s).
+	// WriteTimeout is the deadline of one write (the frames queued at that
+	// moment, at most 128 KiB plus one frame); a peer that stalls longer than
+	// this has its connection broken and redialed so the writer goroutine
+	// can never wedge forever (default 10s).
 	WriteTimeout time.Duration
 	// RedialAttempts is how many consecutive failed dials are tolerated
 	// before the peer is reported to the FailureHandler (default 3;
@@ -161,8 +164,8 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // number.
 //
 // The transport is resilient: a broken or stalled connection is redialed
-// with exponential backoff, and frames queued (or caught mid-write) when
-// the pipe broke are resent on the new connection. Only after
+// with exponential backoff, and frames queued (or not written in full)
+// when the pipe broke are resent on the new connection. Only after
 // RedialAttempts consecutive failed dials is the peer reported to the
 // FailureHandler — so the protocol layer hears about persistent failures,
 // not transient network blips.
@@ -178,10 +181,13 @@ type TCPTransport struct {
 	// lastPressure rate-limits pressure-handler kicks (unix nanos).
 	lastPressure atomic.Int64
 
+	// handler is read once per inbound frame, so it lives outside mu.
+	handler atomic.Pointer[Handler]
+
 	mu         sync.Mutex
 	conns      map[string]*peerConn
+	udpAddrs   map[string]*net.UDPAddr // resolved datagram targets, dropped with the peer
 	inbound    map[net.Conn]bool
-	handler    Handler
 	failure    FailureHandler
 	pressureH  func()
 	closed     bool
@@ -191,171 +197,6 @@ type TCPTransport struct {
 }
 
 var _ Transport = (*TCPTransport)(nil)
-
-// frameRing is a circular buffer of encoded frames that grows lazily up to
-// a fixed capacity, tracking its queued byte total.
-type frameRing struct {
-	buf   [][]byte
-	head  int
-	n     int
-	cap   int
-	bytes int64
-}
-
-func (r *frameRing) push(b []byte) bool {
-	if r.n >= r.cap {
-		return false
-	}
-	if r.n == len(r.buf) {
-		grown := len(r.buf) * 2
-		if grown < 16 {
-			grown = 16
-		}
-		if grown > r.cap {
-			grown = r.cap
-		}
-		nb := make([][]byte, grown)
-		for i := 0; i < r.n; i++ {
-			nb[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf = nb
-		r.head = 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = b
-	r.n++
-	r.bytes += int64(len(b))
-	return true
-}
-
-func (r *frameRing) pop() ([]byte, bool) {
-	if r.n == 0 {
-		return nil, false
-	}
-	b := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	r.bytes -= int64(len(b))
-	return b, true
-}
-
-// enqResult is the outcome of admitting a frame to a peer's queue.
-type enqResult int8
-
-const (
-	enqOK       enqResult = iota
-	enqShed               // frame dropped, peer survives
-	enqOverflow           // Critical hard cap exceeded: peer must be dropped
-	enqStopped            // peer already stopped
-)
-
-// peerConn is an outbound connection with a writer goroutine, so the
-// node's event loop never blocks on the network. Frames are queued in one
-// ring per admission class, drained Critical first; the rings survive
-// redials, so frames enqueued while the connection is down are delivered
-// once it is re-established.
-type peerConn struct {
-	addr     string
-	to       core.NodeID
-	done     chan struct{}
-	once     sync.Once
-	conn     net.Conn     // guarded by the transport mutex
-	lastUsed atomic.Int64 // unix nanos of the last Send toward this peer
-
-	qmu   sync.Mutex
-	rings [core.NumClasses]frameRing
-	wake  chan struct{} // carries at most one token; writer drains per token
-
-	// Flow control: a peer whose per-frame write latency EWMA exceeds
-	// SlowWriteThreshold is "slow" — Background enqueues pause and Repair
-	// halves — until the EWMA falls below half the threshold.
-	slow   atomic.Bool
-	ewmaNs atomic.Int64
-}
-
-func (pc *peerConn) stop() { pc.once.Do(func() { close(pc.done) }) }
-
-// enqueue admits one encoded frame under class cls, returning the outcome
-// and (on success) the Critical ring depth for the caller's watermark
-// check. The Critical ring's cap is the hard cap; soft-cap policy lives in
-// the caller.
-func (pc *peerConn) enqueue(cls core.Class, buf []byte) (res enqResult, critDepth int) {
-	select {
-	case <-pc.done:
-		return enqStopped, 0
-	default:
-	}
-	pc.qmu.Lock()
-	r := &pc.rings[cls]
-	switch cls {
-	case core.ClassBackground:
-		if pc.slow.Load() || r.n >= r.cap {
-			pc.qmu.Unlock()
-			return enqShed, 0
-		}
-	case core.ClassRepair:
-		if r.n >= r.cap || (pc.slow.Load() && r.n >= r.cap/2) {
-			pc.qmu.Unlock()
-			return enqShed, 0
-		}
-	}
-	if !r.push(buf) {
-		pc.qmu.Unlock()
-		if cls == core.ClassCritical {
-			return enqOverflow, 0
-		}
-		return enqShed, 0
-	}
-	critDepth = pc.rings[core.ClassCritical].n
-	pc.qmu.Unlock()
-	select {
-	case pc.wake <- struct{}{}:
-	default:
-	}
-	return enqOK, critDepth
-}
-
-// popFrame dequeues the highest-priority queued frame.
-func (pc *peerConn) popFrame() ([]byte, bool) {
-	pc.qmu.Lock()
-	defer pc.qmu.Unlock()
-	for c := range pc.rings {
-		if b, ok := pc.rings[c].pop(); ok {
-			return b, true
-		}
-	}
-	return nil, false
-}
-
-// queuedPerClass snapshots the per-class queue depths (drop accounting,
-// idle reaping).
-func (pc *peerConn) queuedPerClass() (out [core.NumClasses]int64, total int64) {
-	pc.qmu.Lock()
-	defer pc.qmu.Unlock()
-	for c := range pc.rings {
-		out[c] = int64(pc.rings[c].n)
-		total += out[c]
-	}
-	return out, total
-}
-
-// pressure reports this peer's ring occupancy relative to the soft caps.
-func (pc *peerConn) pressure(critSoft, repairCap, bgCap int) (crit, worst float64, bytes int64) {
-	pc.qmu.Lock()
-	defer pc.qmu.Unlock()
-	crit = float64(pc.rings[core.ClassCritical].n) / float64(critSoft)
-	worst = crit
-	if f := float64(pc.rings[core.ClassRepair].n) / float64(repairCap); f > worst {
-		worst = f
-	}
-	if f := float64(pc.rings[core.ClassBackground].n) / float64(bgCap); f > worst {
-		worst = f
-	}
-	for c := range pc.rings {
-		bytes += pc.rings[c].bytes
-	}
-	return crit, worst, bytes
-}
 
 // errPeerStopped signals the writer loop that its peer was dropped or the
 // transport closed.
@@ -393,6 +234,7 @@ func NewTCPTransportWithOptions(id core.NodeID, listenAddr string, opts TCPOptio
 		opts:       opts.withDefaults(),
 		counters:   metrics.NewAtomicCounter(),
 		conns:      make(map[string]*peerConn),
+		udpAddrs:   make(map[string]*net.UDPAddr),
 		inbound:    make(map[net.Conn]bool),
 		encLogged:  make(map[string]bool),
 		stopReaper: make(chan struct{}),
@@ -416,16 +258,14 @@ func (t *TCPTransport) Stats() map[string]int64 { return t.counters.Snapshot() }
 
 // SetHandlers registers the inbound callbacks.
 func (t *TCPTransport) SetHandlers(h Handler, f FailureHandler) {
+	if h == nil {
+		t.handler.Store(nil)
+	} else {
+		t.handler.Store(&h)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.handler = h
 	t.failure = f
-}
-
-func (t *TCPTransport) handlers() (Handler, FailureHandler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.handler, t.failure
 }
 
 // encodeError counts a wire serialization failure and logs it once per
@@ -565,11 +405,37 @@ func (t *TCPTransport) SendDatagram(addr string, to core.NodeID, m core.Message)
 	if len(buf) > 60000 {
 		return
 	}
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
+	ua := t.udpAddr(addr)
+	if ua == nil {
 		return
 	}
 	_, _ = t.udp.WriteToUDP(buf, ua)
+}
+
+// maxUDPAddrs bounds the resolved-address cache: datagrams (RTT pings) also
+// go to addresses that never become peers, which no peer drop would evict.
+const maxUDPAddrs = 4096
+
+// udpAddr resolves a datagram target once per peer address instead of
+// parsing and allocating on every ping and pong; nil if it does not resolve.
+func (t *TCPTransport) udpAddr(addr string) *net.UDPAddr {
+	t.mu.Lock()
+	ua := t.udpAddrs[addr]
+	t.mu.Unlock()
+	if ua != nil {
+		return ua
+	}
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil
+	}
+	t.mu.Lock()
+	if len(t.udpAddrs) >= maxUDPAddrs {
+		clear(t.udpAddrs)
+	}
+	t.udpAddrs[addr] = ua
+	t.mu.Unlock()
+	return ua
 }
 
 // peer returns (creating if necessary) the outbound connection state.
@@ -582,16 +448,7 @@ func (t *TCPTransport) peer(addr string, to core.NodeID) *peerConn {
 	if pc, ok := t.conns[addr]; ok {
 		return pc
 	}
-	pc := &peerConn{
-		addr: addr,
-		to:   to,
-		done: make(chan struct{}),
-		wake: make(chan struct{}, 1),
-	}
-	pc.rings[core.ClassCritical].cap = t.opts.QueueCriticalHard
-	pc.rings[core.ClassRepair].cap = t.opts.QueueRepair
-	pc.rings[core.ClassBackground].cap = t.opts.QueueBackground
-	pc.lastUsed.Store(time.Now().UnixNano())
+	pc := t.newPeerConn(addr, to)
 	t.conns[addr] = pc
 	t.wg.Add(1)
 	go t.writeLoop(pc)
@@ -600,14 +457,14 @@ func (t *TCPTransport) peer(addr string, to core.NodeID) *peerConn {
 
 // writeLoop owns one peer's connection lifecycle: dial (with backoff
 // across failures), drain the frame queue onto the connection, and on a
-// broken pipe salvage the failed frame and redial. It exits when the peer
-// is stopped or redial attempts are exhausted.
+// broken pipe redial (writeFrames has put the unwritten frames back on
+// the rings). It exits when the peer is stopped or redial attempts are
+// exhausted.
 func (t *TCPTransport) writeLoop(pc *peerConn) {
 	defer t.wg.Done()
 	backoff := t.opts.RedialBackoff
 	failures := 0
 	hadConn := false
-	var pending []byte // frame that failed mid-write, resent first
 	for {
 		conn, err := t.dialPeer(pc)
 		if err != nil {
@@ -619,12 +476,6 @@ func (t *TCPTransport) writeLoop(pc *peerConn) {
 			if failures > t.opts.RedialAttempts {
 				t.counters.Inc(CtrPeersFailed, 1)
 				t.countQueuedDrops(pc)
-				if pending != nil {
-					// The salvaged in-flight frame is lost with the peer;
-					// its class was erased when it left the ring, so it
-					// counts in the total only.
-					t.counters.Inc(CtrFramesDropped, 1)
-				}
 				t.dropPeer(pc, true)
 				return
 			}
@@ -647,12 +498,12 @@ func (t *TCPTransport) writeLoop(pc *peerConn) {
 		failures = 0
 		backoff = t.opts.RedialBackoff
 		hadConn = true
-		if !t.writeFrames(pc, conn, &pending) {
+		if !t.writeFrames(pc, conn) {
 			return
 		}
-		// Connection broke; loop redials. Frames still queued (and the
-		// salvaged pending frame) survive for the next connection. The
-		// short pause keeps a flapping peer from inducing a dial hot-loop.
+		// Connection broke; loop redials. Frames still queued survive for
+		// the next connection. The short pause keeps a flapping peer from
+		// inducing a dial hot-loop.
 		if !t.pause(pc, withJitter(backoff)) {
 			return
 		}
@@ -693,69 +544,6 @@ func (t *TCPTransport) dialPeer(pc *peerConn) (net.Conn, error) {
 	return conn, nil
 }
 
-// writeFrames pumps queued frames onto conn, Critical first, until the
-// peer stops (returns false) or a write fails (returns true to redial; the
-// failed frame is left in *pending for resend). Each write's latency feeds
-// the peer's flow-control EWMA.
-func (t *TCPTransport) writeFrames(pc *peerConn, conn net.Conn, pending *[]byte) bool {
-	for {
-		buf := *pending
-		for buf == nil {
-			var ok bool
-			if buf, ok = pc.popFrame(); ok {
-				break
-			}
-			select {
-			case <-pc.done:
-				conn.Close()
-				return false
-			case <-pc.wake:
-			}
-		}
-		start := time.Now()
-		conn.SetWriteDeadline(start.Add(t.opts.WriteTimeout))
-		if _, err := conn.Write(buf); err != nil {
-			// A partial write is fine to retry: the broken connection is
-			// discarded wholesale, so the remote never sees a frame
-			// spliced across connections.
-			*pending = buf
-			t.counters.Inc(CtrWriteErrors, 1)
-			t.counters.Inc(CtrFramesRequeue, 1)
-			conn.Close()
-			t.mu.Lock()
-			if pc.conn == conn {
-				pc.conn = nil
-			}
-			t.mu.Unlock()
-			return true
-		}
-		*pending = nil
-		t.noteWriteLatency(pc, time.Since(start))
-	}
-}
-
-// noteWriteLatency feeds one frame's write duration into the peer's EWMA
-// and flips its slow flag with hysteresis: pause above the threshold,
-// resume below half of it.
-func (t *TCPTransport) noteWriteLatency(pc *peerConn, d time.Duration) {
-	thresh := t.opts.SlowWriteThreshold
-	if thresh <= 0 {
-		return
-	}
-	old := pc.ewmaNs.Load()
-	ewma := old + (int64(d)-old)/8
-	pc.ewmaNs.Store(ewma)
-	switch {
-	case !pc.slow.Load() && ewma > int64(thresh):
-		pc.slow.Store(true)
-		t.counters.Inc(CtrPeerPauses, 1)
-		t.notifyPressure(false)
-	case pc.slow.Load() && ewma < int64(thresh)/2:
-		pc.slow.Store(false)
-		t.counters.Inc(CtrPeerResumes, 1)
-	}
-}
-
 // pause sleeps d or until the peer stops; it reports whether to continue.
 func (t *TCPTransport) pause(pc *peerConn, d time.Duration) bool {
 	timer := time.NewTimer(d)
@@ -783,6 +571,7 @@ func (t *TCPTransport) dropPeer(pc *peerConn, notify bool) {
 	cur, ok := t.conns[pc.addr]
 	if ok && cur == pc {
 		delete(t.conns, pc.addr)
+		delete(t.udpAddrs, pc.addr)
 	}
 	closed := t.closed
 	fail := t.failure
@@ -862,56 +651,6 @@ func (t *TCPTransport) acceptLoop() {
 		}
 		t.wg.Add(1)
 		go t.readLoop(conn)
-	}
-}
-
-func (t *TCPTransport) readLoop(conn net.Conn) {
-	defer t.wg.Done()
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		conn.Close()
-		return
-	}
-	t.inbound[conn] = true
-	t.mu.Unlock()
-	defer func() {
-		conn.Close()
-		t.mu.Lock()
-		delete(t.inbound, conn)
-		t.mu.Unlock()
-	}()
-	for {
-		from, m, err := wire.ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		h, _ := t.handlers()
-		if h != nil {
-			h(from, m)
-		}
-	}
-}
-
-func (t *TCPTransport) udpLoop() {
-	defer t.wg.Done()
-	buf := make([]byte, 65536)
-	for {
-		n, _, err := t.udp.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		if n < 4 {
-			continue
-		}
-		from, m, err := wire.Decode(buf[4:n])
-		if err != nil {
-			continue
-		}
-		h, _ := t.handlers()
-		if h != nil {
-			h(from, m)
-		}
 	}
 }
 

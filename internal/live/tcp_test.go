@@ -67,6 +67,80 @@ func TestTCPRedialRestoresLinkAfterCut(t *testing.T) {
 	}
 }
 
+// TestTCPBurstAcrossCuts sends a burst of sequence-numbered frames while
+// the connection is cut under it several times. The frames a failed write
+// did not finish are resent on the next connection: everything arrives
+// exactly once and in order, every frame is reported written exactly once,
+// and the protocol hears of no peer failure.
+func TestTCPBurstAcrossCuts(t *testing.T) {
+	opts := fastTCPOptions()
+	// The receiver reads each connection on its own goroutine; a redial
+	// pause well above scheduling noise keeps the old connection's tail
+	// ahead of the new connection's head.
+	opts.RedialBackoff = 100 * time.Millisecond
+	a := mustTCP(t, 1, opts)
+	defer a.Close()
+	b := mustTCP(t, 2, fastTCPOptions())
+	defer b.Close()
+
+	var (
+		mu     sync.Mutex
+		seqs   []uint32
+		got    atomic.Int64
+		failed atomic.Int64
+	)
+	b.SetHandlers(func(_ core.NodeID, m core.Message) {
+		mu.Lock()
+		seqs = append(seqs, m.(*core.Multicast).ID.Seq)
+		mu.Unlock()
+		got.Add(1)
+	}, nil)
+	a.SetHandlers(func(core.NodeID, core.Message) {}, func(core.NodeID) { failed.Add(1) })
+
+	const burst = 300
+	payload := make([]byte, 512)
+	send := func(seq uint32) {
+		a.Send(b.Addr(), 2, &core.Multicast{ID: core.MessageID{Source: 1, Seq: seq}, Payload: payload, ViaTree: true})
+	}
+	send(0)
+	waitCount(t, &got, 1, "first frame (connection up)")
+	for seq := uint32(1); seq <= burst; seq++ {
+		if seq%100 == 50 {
+			// The first cut lands on a busy writer; the later ones wait for
+			// the redial, so that there is a connection to cut. From a cut
+			// on, the writer's next write fails with the rest of the burst
+			// queuing behind it. On loopback a close still delivers what
+			// the kernel had accepted, so nothing reported written is lost.
+			if seq > 50 {
+				waitCount(t, &got, int64(seq), "frames sent before the cut")
+			}
+			if a.DropConnections() == 0 {
+				t.Fatalf("no connection to cut before frame %d", seq)
+			}
+		}
+		send(seq)
+	}
+	waitCount(t, &got, burst+1, "burst across the cuts")
+
+	mu.Lock()
+	defer mu.Unlock()
+	for i, seq := range seqs {
+		if seq != uint32(i) {
+			t.Fatalf("frame %d of the stream carries seq %d: reordered, duplicated or lost (stream %v)", i, seq, seqs)
+		}
+	}
+	s := a.Stats()
+	if s[CtrFramesWritten] != burst+1 {
+		t.Errorf("tcp_frames_written = %d for %d frames: a frame reported written was resent", s[CtrFramesWritten], burst+1)
+	}
+	if s[CtrWriteErrors] < 1 || s[CtrFramesRequeue] < 1 || s[CtrRedials] < 1 {
+		t.Errorf("write_errors=%d frames_requeued=%d redials=%d, want each >= 1", s[CtrWriteErrors], s[CtrFramesRequeue], s[CtrRedials])
+	}
+	if s[CtrFramesDropped] != 0 || failed.Load() != 0 {
+		t.Errorf("frames_dropped = %d, peer failures = %d, want 0/0", s[CtrFramesDropped], failed.Load())
+	}
+}
+
 // TestTCPRedialExhaustionReportsPeerDown sends toward a dead address and
 // checks the failure is reported only after the configured attempts.
 func TestTCPRedialExhaustionReportsPeerDown(t *testing.T) {
@@ -377,5 +451,37 @@ func TestTCPSlowPeerPausesBackground(t *testing.T) {
 	tr.Send(dead, 2, &core.SyncRequest{})
 	if got := tr.Stats()[CtrDroppedBackground]; got != 1 {
 		t.Fatalf("dropped_background = %d after resume, want still 1", got)
+	}
+}
+
+// TestTCPDatagramAddrCached checks SendDatagram resolves a peer's address
+// once, reuses it, and forgets it when the peer is dropped.
+func TestTCPDatagramAddrCached(t *testing.T) {
+	a := mustTCP(t, 1, fastTCPOptions())
+	defer a.Close()
+	b := mustTCP(t, 2, fastTCPOptions())
+	defer b.Close()
+	var got atomic.Int64
+	b.SetHandlers(func(core.NodeID, core.Message) { got.Add(1) }, nil)
+	a.SetHandlers(func(core.NodeID, core.Message) {}, nil)
+
+	cached := func() *net.UDPAddr {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.udpAddrs[b.Addr()]
+	}
+	sendUntilCount(t, &got, 1, func() { a.SendDatagram(b.Addr(), 2, &core.Ping{Nonce: 1}) })
+	first := cached()
+	if first == nil {
+		t.Fatal("address not cached after a datagram")
+	}
+	sendUntilCount(t, &got, 2, func() { a.SendDatagram(b.Addr(), 2, &core.Ping{Nonce: 2}) })
+	if cached() != first {
+		t.Fatal("second datagram resolved the address again")
+	}
+	a.SendDatagram("not an address", 3, &core.Ping{})
+	a.dropPeer(a.peer(b.Addr(), 2), false)
+	if cached() != nil {
+		t.Fatal("cached address outlived the peer")
 	}
 }

@@ -10,6 +10,18 @@
 // symmetric and fully covered by round-trip tests against the in-memory
 // message structs used by the simulator, so simulated and live deployments
 // run byte-compatible protocols.
+//
+// Buffer ownership on decode. ReadFrame allocates one buffer per frame,
+// reads the frame into it and owns it, so the message it returns aliases
+// its []byte fields (Symbol.Data, Multicast.Payload) into that buffer:
+// no second allocation, no copy, and the buffer lives exactly as long as
+// the message's holder keeps those fields. Decode parses a buffer the
+// caller owns and may reuse (the UDP loop's datagram buffer, a fuzzer's
+// input), so it copies every []byte field and the caller may overwrite
+// the buffer as soon as Decode returns. SyncReply pages are copied on both
+// paths: a page carries many items in one frame of up to SyncBatchBytes,
+// and one retained item would otherwise pin the whole page. Strings are
+// always copied.
 package wire
 
 import (
@@ -73,7 +85,9 @@ func WriteFrame(w io.Writer, from core.NodeID, m core.Message) error {
 	return err
 }
 
-// ReadFrame reads one framed message from r.
+// ReadFrame reads one framed message from r. The message's []byte fields
+// alias the frame buffer allocated here (see the package doc); pass a
+// bufio.Reader to read many small frames per syscall.
 func ReadFrame(r io.Reader) (core.NodeID, core.Message, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -87,12 +101,17 @@ func ReadFrame(r io.Reader) (core.NodeID, core.Message, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return core.None, nil, err
 	}
-	return Decode(payload)
+	return decode(payload, true)
 }
 
-// Decode parses a frame payload (without the length prefix).
+// Decode parses a frame payload (without the length prefix). The result
+// shares no memory with payload, which the caller keeps.
 func Decode(payload []byte) (core.NodeID, core.Message, error) {
-	d := decoder{buf: payload}
+	return decode(payload, false)
+}
+
+func decode(payload []byte, alias bool) (core.NodeID, core.Message, error) {
+	d := decoder{buf: payload, alias: alias}
 	from := core.NodeID(d.i32())
 	kind := core.MsgKind(d.u8())
 	m, err := d.message(kind)
@@ -373,9 +392,10 @@ func (e *encoder) message(m core.Message) error {
 // --- decoding ---
 
 type decoder struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	alias bool // buf is ours: []byte fields may point into it
 }
 
 func (d *decoder) fail() {
@@ -451,9 +471,17 @@ func (d *decoder) bytes() []byte {
 		d.fail()
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:])
-	d.off += n
+	end := d.off + n
+	// The capacity stops at the field's end, so an append on an aliased
+	// field reallocates instead of running into the next field.
+	b := d.buf[d.off:end:end]
+	if !d.alias {
+		// The caller reuses buf (UDP loop, fuzzers): the message must not
+		// point into it.
+		b = make([]byte, n)
+		copy(b, d.buf[d.off:end])
+	}
+	d.off = end
 	return b
 }
 
@@ -649,6 +677,8 @@ func (d *decoder) message(kind core.MsgKind) (core.Message, error) {
 		}
 		return m, nil
 	case core.KindSyncReply:
+		// One retained item must not pin a whole sync page.
+		d.alias = false
 		m := &core.SyncReply{}
 		n := int(d.u16())
 		if n > 0 {

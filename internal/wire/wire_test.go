@@ -1,11 +1,18 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gocast/internal/core"
 	"gocast/internal/store"
@@ -365,6 +372,171 @@ func BenchmarkDecodeGossip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Decode(buf[4:]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// corpusPayloads returns the committed fuzz corpus's inputs.
+func corpusPayloads(t *testing.T) [][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzDecode", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed fuzz corpus (%v)", err)
+	}
+	var out [][]byte
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		lit, okP := strings.CutPrefix(lit, "[]byte(")
+		lit, okS := strings.CutSuffix(lit, ")")
+		s, err := strconv.Unquote(lit)
+		if !ok || !okP || !okS || err != nil {
+			t.Fatalf("%s: not a one-argument []byte corpus file (%v)", f, err)
+		}
+		out = append(out, []byte(s))
+	}
+	return out
+}
+
+// overlaps reports whether two slices share any byte of backing memory
+// (capacity included, so a later append cannot collide either).
+func overlaps(a, b []byte) bool {
+	a, b = a[:cap(a)], b[:cap(b)]
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
+}
+
+// byteFields lists the []byte fields the decoder fills.
+func byteFields(m core.Message) [][]byte {
+	switch v := m.(type) {
+	case *core.Multicast:
+		return [][]byte{v.Payload}
+	case *core.Symbol:
+		return [][]byte{v.Data}
+	case *core.SyncReply:
+		var out [][]byte
+		for _, it := range v.Items {
+			out = append(out, it.Payload)
+		}
+		for _, s := range v.Syms {
+			out = append(out, s.Data)
+		}
+		return out
+	}
+	return nil
+}
+
+// TestDecodeOwnership pins the buffer-ownership contract over the samples
+// and the committed fuzz corpus: the aliasing decode (ReadFrame's) and the
+// copying Decode agree on every input; Decode's result shares nothing with
+// the caller's buffer, so overwriting it afterwards changes nothing; the
+// aliasing decode points Multicast and Symbol bytes into the frame with the
+// capacity cut at the field's end, and still copies SyncReply pages.
+func TestDecodeOwnership(t *testing.T) {
+	payloads := corpusPayloads(t)
+	for _, m := range sampleMessages() {
+		frame, err := Append(nil, 5, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, frame[4:])
+	}
+	var aliased int
+	for _, p := range payloads {
+		buf := append([]byte(nil), p...)
+		fromC, copied, errC := Decode(buf)
+		fromA, al, errA := decode(append([]byte(nil), p...), true)
+		if (errC == nil) != (errA == nil) || fromC != fromA || !reflect.DeepEqual(copied, al) {
+			t.Fatalf("payload %x: copying decode (%d, %#v, %v) != aliasing decode (%d, %#v, %v)",
+				p, fromC, copied, errC, fromA, al, errA)
+		}
+		if errC != nil {
+			continue
+		}
+		for _, f := range byteFields(copied) {
+			if overlaps(f, buf) {
+				t.Fatalf("%T: Decode result points into the caller's buffer", copied)
+			}
+		}
+		for i := range buf {
+			buf[i] ^= 0xFF
+		}
+		if !reflect.DeepEqual(copied, al) {
+			t.Fatalf("%T changed when the caller's buffer was overwritten after Decode", copied)
+		}
+
+		own := append([]byte(nil), p...)
+		_, al, _ = decode(own, true)
+		for _, f := range byteFields(al) {
+			if len(f) == 0 {
+				continue
+			}
+			_, page := al.(*core.SyncReply)
+			if got := overlaps(f, own); got == page {
+				t.Fatalf("%T: field aliases the frame = %v, want %v", al, got, !page)
+			}
+			if !page {
+				aliased++
+				if cap(f) != len(f) {
+					t.Fatalf("%T: aliased field has cap %d > len %d: an append would overwrite the next field", al, cap(f), len(f))
+				}
+			}
+		}
+	}
+	if aliased == 0 {
+		t.Fatal("no input exercised an aliased field")
+	}
+}
+
+// TestReadFrameBuffered reads frames back-to-back through one bufio.Reader,
+// as the live read loop does: every message decodes, and no two messages
+// share memory with each other (each frame owns its buffer; nothing points
+// into the reader's).
+func TestReadFrameBuffered(t *testing.T) {
+	var stream bytes.Buffer
+	var want []core.Message
+	for i := 0; i < 8; i++ {
+		data := bytes.Repeat([]byte{byte(i + 1)}, 1024)
+		m := &core.Symbol{ID: core.MessageID{Source: 1, Seq: 9}, Index: uint16(i), K: 64, N: 66, PayloadLen: 65536, Data: data, ViaTree: true}
+		if err := WriteFrame(&stream, 3, m); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, m)
+	}
+	big := &core.Multicast{ID: core.MessageID{Source: 2, Seq: 1}, Payload: bytes.Repeat([]byte{0xAB}, 100<<10)} // larger than the reader's buffer
+	if err := WriteFrame(&stream, 3, big); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, big)
+
+	br := bufio.NewReaderSize(&stream, 64<<10)
+	var got []core.Message
+	for range want {
+		from, m, err := ReadFrame(br)
+		if err != nil || from != 3 {
+			t.Fatalf("ReadFrame: from %d, err %v", from, err)
+		}
+		got = append(got, m)
+	}
+	if _, _, err := ReadFrame(br); err != io.EOF {
+		t.Fatalf("after the last frame: err = %v, want io.EOF", err)
+	}
+	// Compare only after everything was read: a field pointing into the
+	// reader's buffer would have been overwritten by the later frames.
+	for i := range want {
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Fatalf("frame %d mismatch after later reads", i)
+		}
+		for j := i + 1; j < len(got); j++ {
+			if overlaps(byteFields(got[i])[0], byteFields(got[j])[0]) {
+				t.Fatalf("frames %d and %d share memory", i, j)
+			}
 		}
 	}
 }
