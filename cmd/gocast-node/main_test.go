@@ -115,7 +115,7 @@ func TestAdminMetricsScrape(t *testing.T) {
 }
 
 // TestTraceCommand exercises the /trace stdin command end to end: the
-// multicast above it must appear as a deliver event.
+// multicast above it must appear as an inject event.
 func TestTraceCommand(t *testing.T) {
 	a, err := newApp([]string{"-id", "0", "-listen", "127.0.0.1:0", "-root", "-quiet"}, io.Discard)
 	if err != nil {
@@ -127,8 +127,8 @@ func TestTraceCommand(t *testing.T) {
 	a.handleLine("traced payload", &out)
 	out.Reset()
 	a.handleLine("/trace", &out)
-	if !strings.Contains(out.String(), "deliver") || !strings.Contains(out.String(), "events shown") {
-		t.Errorf("/trace output missing deliver event:\n%s", out.String())
+	if !strings.Contains(out.String(), "inject") || !strings.Contains(out.String(), "events shown") {
+		t.Errorf("/trace output missing inject event:\n%s", out.String())
 	}
 	out.Reset()
 	a.handleLine("/trace bogus", &out)

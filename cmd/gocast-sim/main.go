@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"gocast/internal/core"
+	"gocast/internal/dtrace"
 	"gocast/internal/netsim"
-	"gocast/internal/trace"
 )
 
 func main() {
@@ -47,11 +47,19 @@ func run(args []string) error {
 
 	cfg := core.DefaultConfig()
 	cfg.CRand, cfg.CNear, cfg.EnableTree, cfg.PullDelay = *crand, *cnear, *tree, *pullf
-	var tracer *trace.Buffer
+	opts := netsim.Options{Nodes: *nodes, Seed: *seed, Config: cfg}
+	var tracer *dtrace.Buffer
 	if *traceN > 0 {
-		tracer = trace.NewBuffer(*traceN)
+		// Keep what shapes the run: deliveries, link and parent changes.
+		tracer = dtrace.NewBuffer(*traceN)
+		opts.Trace = func(s dtrace.Span) {
+			switch {
+			case s.Kind.DeliveryKind(), s.Kind == dtrace.KindLinkUp, s.Kind == dtrace.KindLinkDown, s.Kind == dtrace.KindParent:
+				tracer.Record(s)
+			}
+		}
 	}
-	c := netsim.New(netsim.Options{Nodes: *nodes, Seed: *seed, Config: cfg, Tracer: tracer})
+	c := netsim.New(opts)
 	c.BootstrapMembership(cfg.MemberViewSize / 2)
 	c.WireRandom((cfg.TargetDegree() + 1) / 2)
 	c.Start(0)
@@ -86,8 +94,22 @@ func run(args []string) error {
 		cnt.GossipsSent, cnt.PullsSent, cnt.PullsServed, cnt.Duplicates,
 		float64(cnt.Duplicates)/(float64(*messages)*float64(c.AliveCount())))
 	if tracer != nil {
-		fmt.Printf("trace summary: %s\n", tracer.Summary())
-		return tracer.Dump(os.Stdout, trace.Filter{Node: -1})
+		events := tracer.Snapshot()
+		counts := map[dtrace.Kind]int{}
+		for _, e := range events {
+			counts[e.Kind]++
+		}
+		fmt.Print("trace summary:")
+		for k := dtrace.KindInject; k <= dtrace.KindStoreGC; k++ {
+			if counts[k] > 0 {
+				fmt.Printf(" %s=%d", k, counts[k])
+			}
+		}
+		fmt.Println()
+		for _, e := range events {
+			fmt.Println(e)
+		}
+		fmt.Printf("-- %d events (%d evicted)\n", len(events), tracer.Dropped())
 	}
 	return nil
 }

@@ -52,7 +52,6 @@ import (
 	"gocast/internal/obs"
 	"gocast/internal/scenario"
 	"gocast/internal/store"
-	"gocast/internal/trace"
 )
 
 // Re-exported protocol types. The aliases keep the public API in one
@@ -139,13 +138,6 @@ type (
 	AdminOptions = obs.AdminOptions
 	// StatusSnapshot is a live node's point-in-time status (/statusz body).
 	StatusSnapshot = live.StatusSnapshot
-	// TraceBuffer is a bounded ring of recent protocol events; every live
-	// Node records into one (see NodeOptions.TraceCapacity/TraceSample).
-	TraceBuffer = trace.Buffer
-	// TraceEvent is one recorded protocol event.
-	TraceEvent = trace.Event
-	// TraceFilter selects trace events when querying a TraceBuffer.
-	TraceFilter = trace.Filter
 
 	// Class is a message's admission class under overload (Critical,
 	// Repair, Background); queues shed Background first.

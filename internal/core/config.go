@@ -105,8 +105,8 @@ type Config struct {
 
 	// TraceSampleEvery enables causal dissemination tracing: every Nth
 	// locally injected multicast (by sequence number) carries a sampled
-	// hop context, and every node it touches records dtrace spans for it
-	// (given an installed SpanObserver). 0 — the default — disables
+	// hop context, and every node it touches reports dtrace spans for it
+	// (marked Sampled) to its Observer. 0 — the default — disables
 	// sampling entirely; the hot path then pays one branch per receive.
 	// 1 traces every message.
 	TraceSampleEvery int

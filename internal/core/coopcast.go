@@ -132,7 +132,7 @@ func validGeometry(k, total uint16, payloadLen uint32) bool {
 // coderFor returns a coder for the given geometry, caching the last one:
 // a workload's coopcast messages typically share parameters, and building
 // the Cauchy parity matrix is O(K*R).
-func (n *Node) coderFor(p fec.Params) (fec.Coder, error) {
+func (n *Node) coderFor(p fec.Params) (*fec.RS, error) {
 	if n.fecCoder != nil && n.fecParams == p {
 		return n.fecCoder, nil
 	}
@@ -164,9 +164,6 @@ func (n *Node) multicastCoopcast(payload []byte) (MessageID, bool) {
 	if n.cfg.TraceSampleEvery > 0 && id.Seq%uint32(n.cfg.TraceSampleEvery) == 0 {
 		st.traced = true
 		st.origin = n.env.Now()
-		if n.spanObs != nil {
-			n.emitSpan(dtrace.KindInject, id, None, 0, st.origin, st.origin, 0, 0)
-		}
 	}
 	sym := &symState{
 		k:          uint16(p.K),
@@ -188,7 +185,7 @@ func (n *Node) multicastCoopcast(payload []byte) (MessageID, bool) {
 	n.stats.Injected++
 	n.deliverLocal(id, st, payload)
 	if n.obs != nil {
-		n.obs.Event(EvDeliver, None, PackMessageID(id), 0)
+		n.observe(n.msgSpan(dtrace.KindInject, id, None, 0, 0, st.traced))
 	}
 	for i, s := range symbols {
 		n.forwardSymbol(id, st, uint16(i), s, None)
@@ -250,21 +247,26 @@ func (n *Node) forwardSymbol(id MessageID, st *msgState, idx uint16, data []byte
 	if !n.cfg.EnableTree {
 		return
 	}
-	targets := n.symTargets[:0]
-	for _, t := range n.TreeNeighbors() {
+	targets := n.appendTreeNeighbors(n.treeTargets[:0])
+	n.treeTargets = targets[:0]
+	k := 0
+	for _, t := range targets {
 		if t == except || st.heardMask&n.slotBit(t) != 0 {
 			continue
 		}
-		targets = append(targets, t)
+		targets[k] = t
+		k++
 	}
-	n.symTargets = targets[:0]
+	targets = targets[:k]
 	if len(targets) == 0 {
 		return
 	}
 	t := targets[int(idx)%len(targets)]
 	n.stats.SymbolsSent++
 	if n.obs != nil {
-		n.obs.Event(EvSend, t, PackMessageID(id), int64(idx))
+		s := n.msgSpan(dtrace.KindTreeSend, id, t, 0, 0, false)
+		s.Aux = int64(idx)
+		n.observe(s)
 	}
 	n.env.Send(t, &Symbol{
 		ID: id, Age: n.ageOf(st), Index: idx,
@@ -322,13 +324,14 @@ func (n *Node) handleSymbol(from NodeID, m *Symbol) {
 		sym.have.Add(idx)
 		sym.haveCnt++
 		n.stats.SymbolsRecv++
-		if st.traced && n.spanObs != nil {
-			now := n.env.Now()
+		if st.traced && n.obs != nil {
 			kind := dtrace.KindSymbolPull
 			if m.ViaTree {
 				kind = dtrace.KindSymbolTree
 			}
-			n.emitSpan(kind, m.ID, from, m.Hop.Hops, now, now, n.ageOf(st), int64(idx))
+			s := n.msgSpan(kind, m.ID, from, m.Hop.Hops, n.ageOf(st), true)
+			s.Aux = int64(idx)
+			n.observe(s)
 		}
 		if m.ViaTree {
 			// Only tree-borne symbols travel on down the tree. A child
@@ -419,11 +422,9 @@ func (n *Node) completeAssembly(id MessageID, st *msgState, from NodeID) {
 	n.advertiseNow(id, st)
 	n.deliverLocal(id, st, payload)
 	if n.obs != nil {
-		n.obs.ObserveReassembly(n.env.Now() - st.receivedAt)
-		n.obs.Event(EvDeliver, from, PackMessageID(id), int64(n.ageOf(st)))
-	}
-	if st.traced && n.spanObs != nil {
-		n.emitSpan(dtrace.KindReassembly, id, from, st.hops, st.receivedAt, n.env.Now(), n.ageOf(st), int64(held))
+		s := n.msgSpan(dtrace.KindReassembly, id, from, st.hops, n.ageOf(st), st.traced)
+		s.Start, s.Aux = st.receivedAt, int64(held)
+		n.observe(s)
 	}
 }
 
@@ -500,9 +501,10 @@ func (n *Node) noteSymbolHolder(id MessageID, st *msgState, from NodeID, have *s
 	} else {
 		sym.holders = append(sym.holders, symHolder{id: from, have: *have, last: -1})
 	}
-	if st.traced && n.spanObs != nil {
-		now := n.env.Now()
-		n.emitSpan(dtrace.KindAdvert, id, from, st.hops, now, now, n.ageOf(st), int64(have.Count()))
+	if st.traced && n.obs != nil {
+		s := n.msgSpan(dtrace.KindAdvert, id, from, st.hops, n.ageOf(st), true)
+		s.Aux = int64(have.Count())
+		n.observe(s)
 	}
 	if wait := n.cfg.PullDelay - n.ageOf(st); wait > 0 {
 		if !sym.pullArmed {
@@ -565,10 +567,9 @@ func (n *Node) pullSymbols(id MessageID, st *msgState) bool {
 		holders[h].last = wants[h].Max()
 		n.stats.SymbolPullsSent++
 		if n.obs != nil {
-			n.obs.Event(EvPull, holders[h].id, PackMessageID(id), int64(wants[h].Count()))
-		}
-		if st.traced && n.spanObs != nil {
-			n.emitSpan(dtrace.KindPull, id, holders[h].id, st.hops, st.receivedAt, n.env.Now(), n.ageOf(st), int64(wants[h].Count()))
+			s := n.msgSpan(dtrace.KindPull, id, holders[h].id, st.hops, n.ageOf(st), st.traced)
+			s.Start, s.Aux = st.receivedAt, int64(wants[h].Count())
+			n.observe(s)
 		}
 		n.env.Send(holders[h].id, &SymbolPull{ID: id, Want: wants[h]})
 	}

@@ -257,16 +257,13 @@ func (n *Node) Multicast(payload []byte) MessageID {
 	if n.cfg.TraceSampleEvery > 0 && id.Seq%uint32(n.cfg.TraceSampleEvery) == 0 {
 		st.traced = true
 		st.origin = n.env.Now()
-		if n.spanObs != nil {
-			n.emitSpan(dtrace.KindInject, id, None, 0, st.origin, st.origin, 0, 0)
-		}
 	}
 	n.store.Put(sid(id), payload, n.env.Now())
 	n.recent = append(n.recent, id)
 	n.stats.Injected++
 	n.deliverLocal(id, st, payload)
 	if n.obs != nil {
-		n.obs.Event(EvDeliver, None, PackMessageID(id), 0)
+		n.observe(n.msgSpan(dtrace.KindInject, id, None, 0, 0, st.traced))
 	}
 	n.forwardTree(id, st, payload, None)
 	return id
@@ -292,13 +289,15 @@ func (n *Node) forwardTree(id MessageID, st *msgState, payload []byte, except No
 		return
 	}
 	hop := n.hopOf(st)
-	for _, t := range n.TreeNeighbors() {
+	targets := n.appendTreeNeighbors(n.treeTargets[:0])
+	n.treeTargets = targets[:0]
+	for _, t := range targets {
 		if t == except || st.heardMask&n.slotBit(t) != 0 {
 			continue
 		}
 		n.stats.TreeForwards++
 		if n.obs != nil {
-			n.obs.Event(EvSend, t, PackMessageID(id), 0)
+			n.observe(n.msgSpan(dtrace.KindTreeSend, id, t, 0, 0, false))
 		}
 		n.env.Send(t, n.newMulticast(id, n.ageOf(st), payload, true, hop))
 	}
@@ -335,39 +334,30 @@ func (n *Node) receiveMulticast(from NodeID, m *Multicast, viaSync bool) {
 	n.store.Put(sid(m.ID), m.Payload, n.env.Now())
 	n.recent = append(n.recent, m.ID)
 	n.stats.PayloadsRecv++
-	// pulledAt survives the pullState's recycling so the pull-delivery
-	// span can report the request→reply RTT.
+	// pulledAt survives the pullState's recycling so the delivery record
+	// can report the request→reply RTT.
 	var pulledAt time.Duration
 	if ps, ok := n.pending[pid(m.ID)]; ok {
 		ps.timer.Stop()
 		pulledAt = ps.pullSentAt
-		if n.obs != nil && ps.pullSentAt > 0 {
-			n.obs.ObservePullRTT(n.env.Now() - ps.pullSentAt)
-		}
 		delete(n.pending, pid(m.ID))
 		n.putPullState(ps)
 	}
 	n.deliverLocal(m.ID, st, m.Payload)
 	if n.obs != nil {
-		if m.ViaTree {
-			n.obs.ObserveTreeForward(n.ageOf(st))
-		}
-		n.obs.Event(EvDeliver, from, PackMessageID(m.ID), int64(n.ageOf(st)))
-	}
-	if st.traced && n.spanObs != nil {
-		now := n.env.Now()
+		kind := dtrace.KindPullDeliver
 		switch {
 		case viaSync:
-			n.emitSpan(dtrace.KindSyncDeliver, m.ID, from, m.Hop.Hops, now, now, n.ageOf(st), 0)
+			kind = dtrace.KindSyncDeliver
 		case m.ViaTree:
-			n.emitSpan(dtrace.KindTreeDeliver, m.ID, from, m.Hop.Hops, now, now, n.ageOf(st), 0)
-		default:
-			start := now
-			if pulledAt > 0 {
-				start = pulledAt
-			}
-			n.emitSpan(dtrace.KindPullDeliver, m.ID, from, m.Hop.Hops, start, now, n.ageOf(st), 0)
+			kind = dtrace.KindTreeDeliver
 		}
+		s := n.msgSpan(kind, m.ID, from, m.Hop.Hops, n.ageOf(st), st.traced)
+		if kind == dtrace.KindPullDeliver && pulledAt > 0 {
+			s.Start = pulledAt
+		}
+		s.Aux2 = int64(pulledAt)
+		n.observe(s)
 	}
 	n.forwardTree(m.ID, st, m.Payload, from)
 }
@@ -385,7 +375,7 @@ func (n *Node) gossipTick() {
 	}
 	start := n.env.Now()
 	n.gossipRound()
-	n.obs.ObserveGossipRound(n.env.Now() - start)
+	n.observe(dtrace.Span{Kind: dtrace.KindGossipRound, From: int32(None), Start: start, End: n.env.Now()})
 }
 
 // gossipRound sends the periodic summary to the next neighbor round-robin.
@@ -543,8 +533,8 @@ func (n *Node) handleGossip(from NodeID, g *Gossip) {
 		ps.ageAtLearn = age
 		ps.hop = gid.Hop
 		n.pending[pid(gid.ID)] = ps
-		if gid.Hop.Sampled && n.spanObs != nil {
-			n.emitSpan(dtrace.KindAdvert, gid.ID, from, gid.Hop.Hops, ps.learnedAt, ps.learnedAt, age, 0)
+		if gid.Hop.Sampled && n.obs != nil {
+			n.observe(n.msgSpan(dtrace.KindAdvert, gid.ID, from, gid.Hop.Hops, age, true))
 		}
 		// Give the tree PullDelay (f) since injection before pulling.
 		wait := n.cfg.PullDelay - age
@@ -556,10 +546,9 @@ func (n *Node) handleGossip(from NodeID, g *Gossip) {
 			ps.next = 1 // first holder about to be asked
 			ps.pullSentAt = n.env.Now()
 			if n.obs != nil {
-				n.obs.Event(EvPull, from, PackMessageID(gid.ID), 0)
-			}
-			if gid.Hop.Sampled && n.spanObs != nil {
-				n.emitSpan(dtrace.KindPull, gid.ID, from, gid.Hop.Hops, ps.learnedAt, ps.pullSentAt, age, 0)
+				s := n.msgSpan(dtrace.KindPull, gid.ID, from, gid.Hop.Hops, age, gid.Hop.Sampled)
+				s.Start = ps.learnedAt
+				n.observe(s)
 			}
 			ps.timer = n.startPullRetry(gid.ID)
 			continue
@@ -590,10 +579,9 @@ func (n *Node) firePull(id MessageID) {
 	ps.pullSentAt = n.env.Now()
 	n.stats.PullsSent++
 	if n.obs != nil {
-		n.obs.Event(EvPull, holder, PackMessageID(id), int64(attempt))
-	}
-	if ps.hop.Sampled && n.spanObs != nil {
-		n.emitSpan(dtrace.KindPull, id, holder, ps.hop.Hops, ps.learnedAt, ps.pullSentAt, ps.ageAtLearn, int64(attempt))
+		s := n.msgSpan(dtrace.KindPull, id, holder, ps.hop.Hops, ps.ageAtLearn, ps.hop.Sampled)
+		s.Start, s.Aux = ps.learnedAt, int64(attempt)
+		n.observe(s)
 	}
 	pr := n.newPullRequest()
 	pr.IDs = append(pr.IDs, id)
@@ -713,7 +701,8 @@ func (n *Node) reclaimTick() {
 		}
 	}
 	if n.obs != nil {
-		n.obs.ObserveStoreGC(len(res.Reclaimed), len(res.Dropped), n.env.Now()-start)
+		n.observe(dtrace.Span{Kind: dtrace.KindStoreGC, From: int32(None), Start: start, End: n.env.Now(),
+			Aux: int64(len(res.Reclaimed)), Aux2: int64(len(res.Dropped))})
 	}
 }
 

@@ -12,13 +12,6 @@ import (
 // receives. age is the estimated time since the message was injected.
 type DeliverFunc func(id MessageID, payload []byte, age time.Duration)
 
-// LinkChangeFunc observes overlay link additions and removals at this node.
-type LinkChangeFunc func(added bool, kind LinkKind, peer NodeID, rtt time.Duration)
-
-// ParentChangeFunc observes tree parent changes at this node (old or new
-// may be None).
-type ParentChangeFunc func(oldParent, newParent NodeID)
-
 // Node is a single GoCast protocol participant. It is not safe for
 // concurrent use: the Env must serialize all callbacks and API calls onto
 // one logical thread (the simulator's event loop, or the live runtime's
@@ -113,9 +106,7 @@ type Node struct {
 	// (larger ones may come from our own descendants).
 	lostDist time.Duration
 
-	deliver        DeliverFunc
-	onLinkChange   LinkChangeFunc
-	onParentChange ParentChangeFunc
+	deliver DeliverFunc
 
 	gossipTimer   Timer
 	maintainTimer Timer
@@ -125,26 +116,24 @@ type Node struct {
 
 	stats Counters
 
-	// obs, when non-nil, receives latency observations and sampled protocol
-	// events (see observe.go). Nil keeps every hook a single branch.
+	// obs, when non-nil, receives one telemetry record per protocol fact
+	// (see observe.go). Nil keeps every emission site a single branch.
 	obs Observer
-	// spanObs, when non-nil, receives dissemination trace spans for
-	// sampled messages (set by SetObserver when the observer also
-	// implements SpanObserver).
-	spanObs SpanObserver
 
 	// pool is the env's optional message-struct recycler (nil on envs
 	// without the capability; the send helpers then allocate).
 	pool MessagePool
 
+	// treeTargets is the tree-link scratch of the forwarding paths.
+	treeTargets []NodeID
+
 	// Coopcast: cached erasure coder (rebuilt when the geometry changes)
-	// and scratch reused across messages — striping targets, per-holder
-	// pull sets, and the reassembly symbol table (see coopcast.go).
-	fecCoder   fec.Coder
-	fecParams  fec.Params
-	symTargets []NodeID
-	symWants   []store.SymbolSet
-	symBufs    [][]byte
+	// and scratch reused across messages — per-holder pull sets and the
+	// reassembly symbol table (see coopcast.go).
+	fecCoder  *fec.RS
+	fecParams fec.Params
+	symWants  []store.SymbolSet
+	symBufs   [][]byte
 
 	// Free lists for the per-message bookkeeping records and reusable
 	// scratch, so steady-state dissemination allocates nothing.
@@ -169,7 +158,8 @@ type Node struct {
 	tickHeartbeat func()
 
 	// repairing/detachedAt time the window between losing the tree parent
-	// and re-attaching (or taking over as root), for ObserveTreeRepair.
+	// and re-attaching (or taking over as root), reported on the parent or
+	// root record that ends the detachment.
 	repairing  bool
 	detachedAt time.Duration
 }
@@ -265,12 +255,6 @@ func (n *Node) Incarnation() uint32 { return n.self.Inc }
 // OnDeliver registers the multicast delivery callback. Must be set before
 // Start.
 func (n *Node) OnDeliver(fn DeliverFunc) { n.deliver = fn }
-
-// OnLinkChange registers an observer of overlay link changes.
-func (n *Node) OnLinkChange(fn LinkChangeFunc) { n.onLinkChange = fn }
-
-// OnParentChange registers an observer of tree parent changes.
-func (n *Node) OnParentChange(fn ParentChangeFunc) { n.onParentChange = fn }
 
 // Start activates the node's periodic timers. Gossip and maintenance
 // phases are randomized so nodes do not synchronize.

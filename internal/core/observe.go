@@ -6,111 +6,44 @@ import (
 	"gocast/internal/dtrace"
 )
 
-// Observer receives protocol telemetry from a node. A nil observer (the
-// default) costs a single nil-check per hook, so the discrete-event
-// simulator pays nothing; the live runtime installs one that feeds the
-// metrics registry and trace ring.
+// Observer receives a node's protocol telemetry: one dtrace.Span per
+// fact, whose Kind says what happened (see the dtrace.Kind constants for
+// each kind's fields). A nil observer (the default) costs a single
+// nil-check per fact. Dissemination-trace spans of sampled messages (see
+// Config.TraceSampleEvery) arrive with Sampled set; the waypoint kinds
+// (advert, symbol receipt) are produced only for those.
 //
-// All hooks run on the node's logical thread and must not call back into
+// Observe runs on the node's logical thread and must not call back into
 // the node.
 type Observer interface {
-	// ObserveTreeForward records the estimated injection-to-delivery age of
-	// a payload that arrived over a tree link.
-	ObserveTreeForward(age time.Duration)
-	// ObserveGossipRound records the wall time one gossip tick spent
-	// building and sending its summary.
-	ObserveGossipRound(d time.Duration)
-	// ObservePullRTT records the time from sending a PullRequest to the
-	// pulled payload landing.
-	ObservePullRTT(d time.Duration)
-	// ObserveSyncPage records one anti-entropy reply batch: item count and
-	// total payload bytes.
-	ObserveSyncPage(items int, bytes int64)
-	// ObserveTreeRepair records the time the node spent detached from the
-	// tree after losing its parent, until it re-attached or took over as
-	// root.
-	ObserveTreeRepair(d time.Duration)
-	// ObserveStoreGC records one store GC sweep: payloads reclaimed,
-	// records dropped entirely, and sweep duration.
-	ObserveStoreGC(reclaimed, dropped int, d time.Duration)
-	// ObserveReassembly records the time a coopcast message spent being
-	// reassembled at this node: first symbol received to payload decoded.
-	ObserveReassembly(d time.Duration)
-	// Event reports one sampled protocol event. The meaning of a and b
-	// depends on ev; see the ObsEvent constants. Message IDs are packed
-	// with PackMessageID.
-	Event(ev ObsEvent, peer NodeID, a, b int64)
-}
-
-// ObsEvent classifies protocol events reported via Observer.Event.
-type ObsEvent uint8
-
-const (
-	// EvSend: a tree push left for peer; a = packed message ID.
-	EvSend ObsEvent = iota + 1
-	// EvDeliver: a payload was delivered locally; peer is the sender (None
-	// for a local injection), a = packed message ID, b = estimated age in
-	// nanoseconds.
-	EvDeliver
-	// EvLinkUp: an overlay link to peer appeared; a = LinkKind, b = RTT ns.
-	EvLinkUp
-	// EvLinkDown: an overlay link to peer vanished; a = LinkKind, b = RTT ns.
-	EvLinkDown
-	// EvParent: the tree parent changed to peer (None when detached);
-	// a = old parent, b = new parent.
-	EvParent
-	// EvRoot: the node's view of the tree root changed to peer;
-	// a = old root, b = new root.
-	EvRoot
-	// EvPull: a PullRequest left for peer; a = packed message ID,
-	// b = attempt number (0 for the immediate first pull).
-	EvPull
-)
-
-// PackMessageID packs a MessageID into one int64 for the Event hook.
-func PackMessageID(id MessageID) int64 {
-	return int64(id.Source)<<32 | int64(id.Seq)
-}
-
-// UnpackMessageID reverses PackMessageID.
-func UnpackMessageID(v int64) MessageID {
-	return MessageID{Source: NodeID(v >> 32), Seq: uint32(v)}
-}
-
-// SpanObserver receives causal dissemination trace spans for sampled
-// messages (see internal/dtrace and Config.TraceSampleEvery). An
-// Observer that also implements SpanObserver is wired up automatically
-// by SetObserver; nodes without one still propagate the wire hop
-// context so downstream nodes can trace.
-//
-// ObserveSpan runs on the node's logical thread and must not call back
-// into the node.
-type SpanObserver interface {
-	ObserveSpan(s dtrace.Span)
+	Observe(s dtrace.Span)
 }
 
 // SetObserver installs (or removes, with nil) the node's observer. Must be
-// called on the node's logical thread, normally before Start. If o also
-// implements SpanObserver, the node emits dissemination trace spans to it
-// for sampled messages.
-func (n *Node) SetObserver(o Observer) {
-	n.obs = o
-	n.spanObs, _ = o.(SpanObserver)
+// called on the node's logical thread, normally before Start.
+func (n *Node) SetObserver(o Observer) { n.obs = o }
+
+// observe stamps the recording node onto s and reports it. Callers guard
+// with n.obs != nil.
+func (n *Node) observe(s dtrace.Span) {
+	s.Node = int32(n.id)
+	n.obs.Observe(s)
 }
 
-// emitSpan records one dissemination trace span. Callers guard with
-// n.spanObs != nil; the helper exists so emission sites stay one line.
-func (n *Node) emitSpan(kind dtrace.Kind, id MessageID, from NodeID, hops uint8, start, end, age time.Duration, aux int64) {
-	n.spanObs.ObserveSpan(dtrace.Span{
-		Src:   int32(id.Source),
-		Seq:   id.Seq,
-		Node:  int32(n.id),
-		From:  int32(from),
-		Kind:  kind,
-		Hops:  hops,
-		Start: start,
-		End:   end,
-		Age:   age,
-		Aux:   aux,
-	})
+// msgSpan is the record of one message event at this node: kind, message,
+// counterparty, hop count, age and whether it is a trace span of a
+// sampled message, stamped now. Callers fill in the kind-specific fields.
+func (n *Node) msgSpan(kind dtrace.Kind, id MessageID, from NodeID, hops uint8, age time.Duration, sampled bool) dtrace.Span {
+	now := n.env.Now()
+	return dtrace.Span{
+		Src:     int32(id.Source),
+		Seq:     id.Seq,
+		From:    int32(from),
+		Kind:    kind,
+		Hops:    hops,
+		Sampled: sampled,
+		Start:   now,
+		End:     now,
+		Age:     age,
+	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"gocast/internal/dtrace"
+)
 
 // Overlay maintenance (Section 2.2). Every MaintainPeriod a node runs one
 // maintenance cycle: failure detection, the random-neighbor protocol
@@ -531,12 +535,9 @@ func (n *Node) addNeighbor(e Entry, kind LinkKind, rtt time.Duration) {
 	n.neighborOrder = append(n.neighborOrder, e.ID)
 	n.stats.LinkAdds++
 	if n.obs != nil {
-		n.obs.Event(EvLinkUp, e.ID, int64(kind), int64(rtt))
+		n.observeLink(dtrace.KindLinkUp, e.ID, kind, rtt)
 	}
 	n.reannounceTo(e.ID)
-	if n.onLinkChange != nil {
-		n.onLinkChange(true, kind, e.ID, rtt)
-	}
 	n.treeOnLinkUp(e.ID)
 }
 
@@ -564,15 +565,18 @@ func (n *Node) removeNeighbor(peer NodeID, notify bool) {
 	}
 	n.stats.LinkDrops++
 	if n.obs != nil {
-		n.obs.Event(EvLinkDown, peer, int64(nb.kind), int64(nb.rtt))
+		n.observeLink(dtrace.KindLinkDown, peer, nb.kind, nb.rtt)
 	}
 	if notify {
 		n.env.Send(peer, &Drop{Degrees: n.degrees()})
 	}
-	if n.onLinkChange != nil {
-		n.onLinkChange(false, nb.kind, peer, nb.rtt)
-	}
 	n.treeOnLinkDown(peer)
+}
+
+// observeLink reports an overlay link appearing or vanishing.
+func (n *Node) observeLink(kind dtrace.Kind, peer NodeID, lk LinkKind, rtt time.Duration) {
+	now := n.env.Now()
+	n.observe(dtrace.Span{Kind: kind, From: int32(peer), Start: now, End: now, Aux: int64(lk), Aux2: int64(rtt)})
 }
 
 // NeighborInfo is an introspection record of one overlay link.

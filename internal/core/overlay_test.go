@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"gocast/internal/dtrace"
 )
 
 func TestAddRequestRespectsRandomCap(t *testing.T) {
@@ -211,15 +213,14 @@ func TestUnsolicitedAddReplyGetsDropped(t *testing.T) {
 func TestLinkChangeCallback(t *testing.T) {
 	f := newFixture(1)
 	a := f.addNode(1, DefaultConfig())
-	var events []bool
-	a.OnLinkChange(func(added bool, _ LinkKind, _ NodeID, _ time.Duration) {
-		events = append(events, added)
-	})
+	rec := &recorder{}
+	a.SetObserver(rec)
 	a.Start()
 	a.AddNeighborDirect(Entry{ID: 5}, Nearby, 10*time.Millisecond)
 	a.dropLink(5)
-	if len(events) != 2 || !events[0] || events[1] {
-		t.Fatalf("link change events = %v, want [add, drop]", events)
+	links := rec.of(dtrace.KindLinkUp, dtrace.KindLinkDown)
+	if len(links) != 2 || links[0].Kind != dtrace.KindLinkUp || links[1].Kind != dtrace.KindLinkDown {
+		t.Fatalf("link change records = %v, want [link-up, link-down]", links)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"gocast/internal/dtrace"
 	"gocast/internal/store"
 )
 
@@ -159,7 +160,9 @@ func (n *Node) handleSyncRequest(from NodeID, m *SyncRequest) {
 	n.stats.SyncItemsSent += int64(len(items) + len(syms))
 	n.stats.SyncBytesSent += pageBytes
 	if n.obs != nil {
-		n.obs.ObserveSyncPage(len(items)+len(syms), pageBytes)
+		now := n.env.Now()
+		n.observe(dtrace.Span{Kind: dtrace.KindSyncPage, From: int32(from), Start: now, End: now,
+			Aux: int64(len(items) + len(syms)), Aux2: pageBytes})
 	}
 	n.env.Send(from, &SyncReply{Items: items, Syms: syms, More: more})
 }

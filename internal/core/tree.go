@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"gocast/internal/dtrace"
+)
 
 // Tree construction (Section 2.3). The tree is embedded in the overlay:
 // tree links are overlay links on latency-shortest paths from a conceptual
@@ -93,7 +97,7 @@ func (n *Node) handleTreeAdvert(from NodeID, m *TreeAdvert) {
 		n.distToRoot = d
 		n.lostDist = 0
 		if n.obs != nil && oldRoot != m.Root {
-			n.obs.Event(EvRoot, m.Root, int64(oldRoot), int64(m.Root))
+			n.observeTree(dtrace.KindRoot, m.Root, oldRoot, false)
 		}
 		n.setParent(from)
 		n.advertiseTree(None)
@@ -141,17 +145,23 @@ func (n *Node) setParent(p NodeID) {
 		n.env.Send(p, &TreeParent{On: true})
 	}
 	if n.obs != nil {
-		if p != None && n.repairing {
-			n.obs.ObserveTreeRepair(n.env.Now() - n.detachedAt)
-		}
-		n.obs.Event(EvParent, p, int64(old), int64(p))
+		n.observeTree(dtrace.KindParent, p, old, p != None && n.repairing)
 	}
 	if p != None {
 		n.repairing = false
 	}
-	if n.onParentChange != nil {
-		n.onParentChange(old, p)
+}
+
+// observeTree reports a parent or root change from old to cur; repaired
+// marks one that re-attaches the node after it lost its parent, which
+// carries the time spent detached.
+func (n *Node) observeTree(kind dtrace.Kind, cur, old NodeID, repaired bool) {
+	s := dtrace.Span{Kind: kind, From: int32(cur), Aux: int64(old), End: n.env.Now()}
+	s.Start = s.End
+	if repaired {
+		s.Start, s.Aux2 = n.detachedAt, 1
 	}
+	n.observe(s)
 }
 
 // handleTreeParent maintains the children set.
@@ -183,11 +193,8 @@ func (n *Node) treeOnLinkDown(peer NodeID) {
 		return
 	}
 	n.parent = None
-	if n.onParentChange != nil {
-		n.onParentChange(peer, None)
-	}
 	if n.obs != nil {
-		n.obs.Event(EvParent, None, int64(peer), int64(None))
+		n.observeTree(dtrace.KindParent, None, peer, false)
 	}
 	if !n.cfg.EnableTree {
 		return
@@ -262,10 +269,7 @@ func (n *Node) checkRootLiveness() {
 	n.lastWaveAt = n.env.Now()
 	n.stats.RootTakeovers++
 	if n.obs != nil {
-		if n.repairing {
-			n.obs.ObserveTreeRepair(n.env.Now() - n.detachedAt)
-		}
-		n.obs.Event(EvRoot, n.id, int64(oldRoot), int64(n.id))
+		n.observeTree(dtrace.KindRoot, n.id, oldRoot, n.repairing)
 	}
 	n.repairing = false
 	n.scheduleHeartbeat(0)
@@ -290,16 +294,21 @@ func (n *Node) DistToRoot() (time.Duration, bool) {
 // TreeNeighbors returns the node's current tree links (parent plus
 // children) in a deterministic order.
 func (n *Node) TreeNeighbors() []NodeID {
-	out := make([]NodeID, 0, len(n.children)+1)
+	return n.appendTreeNeighbors(make([]NodeID, 0, len(n.children)+1))
+}
+
+// appendTreeNeighbors appends the tree links to dst in TreeNeighbors
+// order, so the forwarding paths can reuse a scratch slice.
+func (n *Node) appendTreeNeighbors(dst []NodeID) []NodeID {
 	if n.parent != None {
-		out = append(out, n.parent)
+		dst = append(dst, n.parent)
 	}
 	for _, id := range n.neighborOrder {
 		if n.children[id] {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // TreeLinkRTTs returns the RTTs of the node's tree links that are still

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gocast/internal/core"
+	"gocast/internal/dtrace"
 	"gocast/internal/metrics"
 	"gocast/internal/netsim"
 )
@@ -81,16 +82,17 @@ func Figure5b(sc Scale, until, step time.Duration) *Report {
 // converges.
 func LinkChanges(sc Scale, until, bucket time.Duration) *Report {
 	cfg := core.DefaultConfig()
-	c := netsim.New(netsim.Options{Nodes: sc.Nodes, Seed: sc.Seed, Config: cfg})
+	series := metrics.NewTimeSeries(bucket)
+	counting := false
+	c := netsim.New(netsim.Options{Nodes: sc.Nodes, Seed: sc.Seed, Config: cfg, Trace: func(s dtrace.Span) {
+		if counting && (s.Kind == dtrace.KindLinkUp || s.Kind == dtrace.KindLinkDown) {
+			series.Observe(s.End, 1)
+		}
+	}})
 	c.BootstrapMembership(cfg.MemberViewSize / 2)
 	c.WireRandom(cfg.TargetDegree() / 2)
-	series := metrics.NewTimeSeries(bucket)
-	for i := 0; i < sc.Nodes; i++ {
-		i := i
-		c.Node(i).OnLinkChange(func(bool, core.LinkKind, core.NodeID, time.Duration) {
-			series.Observe(c.Now(), 1)
-		})
-	}
+	// The initial random wiring is the starting point, not adaptation.
+	counting = true
 	c.Start(0)
 	c.Run(until)
 	rep := &Report{

@@ -1,4 +1,4 @@
-// Package fec provides the systematic erasure coders behind GoCast's
+// Package fec provides the systematic erasure coder behind GoCast's
 // coopcast dissemination mode (DESIGN.md §13): a payload is split into K
 // source symbols of a fixed size plus R repair symbols, and any K of the
 // N = K+R symbols reconstruct the payload. The protocol pushes different
@@ -6,12 +6,10 @@
 // the coder's job is purely local: deterministic Encode on the sender,
 // order-insensitive Reconstruct on receivers.
 //
-// Two coders are provided. RS is the default: a Reed-Solomon code over
-// GF(256) whose parity rows form a Cauchy matrix, which makes the code MDS
-// (every K×K submatrix of the generator is invertible, so *any* K symbols
-// decode) for any K+R <= MaxSymbols. XOR is the degenerate single-parity
-// variant (R = 1) kept as the trivial reference implementation and as the
-// cheapest option when only one loss per message need be absorbed.
+// The coder is RS: a Reed-Solomon code over GF(256) whose parity rows form
+// a Cauchy matrix, which makes the code MDS (every K×K submatrix of the
+// generator is invertible, so *any* K symbols decode) for any
+// K+R <= MaxSymbols.
 //
 // The package is independent of internal/core; core imports it.
 package fec
@@ -90,21 +88,6 @@ func ParamsFor(payloadLen, symbolSize, repair int) Params {
 	return Params{K: k, R: repair, SymbolSize: SymbolSizeFor(payloadLen, k)}
 }
 
-// Coder encodes a payload into N symbols and reconstructs missing symbols
-// from any K present ones. Implementations are stateless after
-// construction and safe for concurrent use.
-type Coder interface {
-	Params() Params
-	// Encode splits the payload into K source symbols (the last one
-	// zero-padded) and computes R repair symbols, returning all N in
-	// index order. Source symbols alias the payload where possible.
-	Encode(payload []byte) ([][]byte, error)
-	// Reconstruct fills every nil slot of an N-length symbol vector in
-	// place, given at least K non-nil symbols. Non-nil symbols are not
-	// modified.
-	Reconstruct(symbols [][]byte) error
-}
-
 // Join concatenates the K source symbols back into the original payload
 // of the given length. Symbols 0..K-1 must be non-nil (call Reconstruct
 // first).
@@ -151,8 +134,9 @@ func split(payload []byte, p Params) ([][]byte, error) {
 // submatrix of [I; parity] is invertible — the MDS property the coopcast
 // protocol relies on ("any K of N symbols reconstruct").
 //
-// Decode working memory is recycled through a sync.Pool, so the coder
-// stays safe for concurrent use while steady-state Reconstruct allocates
+// An RS is stateless after construction apart from decode working memory,
+// which is recycled through a sync.Pool, so the coder stays safe for
+// concurrent use while steady-state Reconstruct allocates
 // only the recovered symbols themselves (one slab per call).
 type RS struct {
 	p       Params
@@ -170,8 +154,6 @@ type rsScratch struct {
 	mat  []byte   // m×m Cauchy submatrix, mutated by the inversion
 	inv  []byte   // its inverse
 }
-
-var _ Coder = (*RS)(nil)
 
 // NewRS builds the coder for one geometry.
 func NewRS(p Params) (*RS, error) {
@@ -205,7 +187,9 @@ func NewRS(p Params) (*RS, error) {
 // Params returns the coder's geometry.
 func (rs *RS) Params() Params { return rs.p }
 
-// Encode produces the N symbols of a payload.
+// Encode splits the payload into K source symbols (the last one
+// zero-padded) and computes R repair symbols, returning all N in index
+// order. Source symbols alias the payload where possible.
 func (rs *RS) Encode(payload []byte) ([][]byte, error) {
 	syms, err := split(payload, rs.p)
 	if err != nil {
@@ -221,7 +205,8 @@ func (rs *RS) Encode(payload []byte) ([][]byte, error) {
 	return syms, nil
 }
 
-// Reconstruct fills every missing symbol in place from any K present ones.
+// Reconstruct fills every nil slot of an N-length symbol vector in place,
+// given at least K non-nil symbols. Non-nil symbols are not modified.
 func (rs *RS) Reconstruct(symbols [][]byte) error {
 	p := rs.p
 	if len(symbols) != p.N() {
@@ -375,74 +360,5 @@ func gfInvertMatrix(mat, inv []byte, n int) error {
 			}
 		}
 	}
-	return nil
-}
-
-// XOR is the single-parity coder: one repair symbol equal to the XOR of
-// all source symbols, recovering any single loss. It exists as the
-// trivial reference coder; RS with R=1 is equivalent but pays table
-// lookups XOR does not need.
-type XOR struct {
-	p Params
-}
-
-var _ Coder = (*XOR)(nil)
-
-// NewXOR builds the single-parity coder; R must be exactly 1.
-func NewXOR(p Params) (*XOR, error) {
-	if !p.Valid() || p.R != 1 {
-		return nil, fmt.Errorf("%w: XOR coder requires R=1 (got K=%d R=%d)", ErrBadParams, p.K, p.R)
-	}
-	return &XOR{p: p}, nil
-}
-
-// Params returns the coder's geometry.
-func (x *XOR) Params() Params { return x.p }
-
-// Encode produces K source symbols plus the parity symbol.
-func (x *XOR) Encode(payload []byte) ([][]byte, error) {
-	syms, err := split(payload, x.p)
-	if err != nil {
-		return nil, err
-	}
-	rep := make([]byte, x.p.SymbolSize)
-	for j := 0; j < x.p.K; j++ {
-		mulAddRow(rep, syms[j], 1)
-	}
-	syms[x.p.K] = rep
-	return syms, nil
-}
-
-// Reconstruct recovers at most one missing symbol (source or parity).
-func (x *XOR) Reconstruct(symbols [][]byte) error {
-	p := x.p
-	if len(symbols) != p.N() {
-		return fmt.Errorf("%w: got %d slots, want %d", ErrBadParams, len(symbols), p.N())
-	}
-	missing := -1
-	have := 0
-	for i, s := range symbols {
-		if s == nil {
-			missing = i
-			continue
-		}
-		if len(s) != p.SymbolSize {
-			return fmt.Errorf("%w: symbol %d is %d bytes, want %d", ErrBadSymbol, i, len(s), p.SymbolSize)
-		}
-		have++
-	}
-	if have < p.K {
-		return fmt.Errorf("%w: have %d, K=%d", ErrShortSet, have, p.K)
-	}
-	if missing < 0 {
-		return nil
-	}
-	rec := make([]byte, p.SymbolSize)
-	for i, s := range symbols {
-		if i != missing {
-			mulAddRow(rec, s, 1)
-		}
-	}
-	symbols[missing] = rec
 	return nil
 }

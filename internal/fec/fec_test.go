@@ -166,35 +166,6 @@ func TestReconstructErrors(t *testing.T) {
 	}
 }
 
-// TestXORCoder checks the single-parity coder against every single-loss
-// pattern and pins its R=1 restriction.
-func TestXORCoder(t *testing.T) {
-	p := Params{K: 6, R: 1, SymbolSize: 100}
-	x, err := NewXOR(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := randPayload(6*100-17, 5)
-	full, err := x.Encode(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lost := 0; lost < p.N(); lost++ {
-		syms := make([][]byte, p.N())
-		copy(syms, full)
-		syms[lost] = nil
-		if err := x.Reconstruct(syms); err != nil {
-			t.Fatalf("lost=%d: %v", lost, err)
-		}
-		if !bytes.Equal(syms[lost], full[lost]) {
-			t.Fatalf("lost=%d: recovered symbol mismatches", lost)
-		}
-	}
-	if _, err := NewXOR(Params{K: 4, R: 2, SymbolSize: 8}); err == nil {
-		t.Fatal("NewXOR accepted R=2")
-	}
-}
-
 // TestParamsFor pins the geometry derivation both sides of the wire use.
 func TestParamsFor(t *testing.T) {
 	for _, tc := range []struct {

@@ -11,7 +11,6 @@ import (
 	"gocast/internal/core"
 	"gocast/internal/dtrace"
 	"gocast/internal/obs"
-	"gocast/internal/trace"
 )
 
 // ErrStopped reports an API call against a node after Close or Kill.
@@ -45,8 +44,9 @@ type NodeOptions struct {
 	// metric names carry no node label, so two nodes sharing a registry
 	// would overwrite each other's mirrors.
 	Registry *obs.Registry
-	// TraceCapacity sizes the protocol event trace ring: 0 selects the
-	// default (1024 events), negative disables tracing entirely.
+	// TraceCapacity sizes the protocol event ring (sends, deliveries,
+	// pulls, link, parent and root changes, as dtrace records): 0 selects
+	// the default (1024 events), negative disables it entirely.
 	TraceCapacity int
 	// TraceSample records every Nth protocol event in the trace ring
 	// (0 and 1 record all). Latency histograms are never sampled.
@@ -89,7 +89,7 @@ type Node struct {
 	// lastStats/lastStatus cache the most recent collect so stats stay
 	// readable after Close/Kill.
 	reg        *obs.Registry
-	tbuf       *trace.Buffer
+	tbuf       *dtrace.Buffer
 	sbuf       *dtrace.Buffer
 	obsMu      sync.Mutex
 	lastStats  core.Counters

@@ -9,10 +9,9 @@ import (
 	"gocast/internal/core"
 	"gocast/internal/dtrace"
 	"gocast/internal/obs"
-	"gocast/internal/trace"
 )
 
-// defaultTraceCapacity sizes the per-node trace ring when NodeOptions does
+// defaultTraceCapacity sizes the per-node event ring when NodeOptions does
 // not specify one.
 const defaultTraceCapacity = 1024
 
@@ -37,9 +36,10 @@ type StatusSnapshot struct {
 	Stopped           bool   `json:"stopped"`
 }
 
-// nodeObs adapts core.Observer onto the metrics registry and the trace
-// ring. All methods run on the node's event loop; the histogram and
-// counter handles are captured once so the hot path stays allocation-free.
+// nodeObs adapts core.Observer onto the metrics registry, the event ring
+// and the span ring. Observe runs on the node's event loop; the histogram
+// and counter handles are captured once so the hot path stays
+// allocation-free.
 type nodeObs struct {
 	n *Node
 
@@ -55,95 +55,66 @@ type nodeObs struct {
 	gcReclaimed *obs.Counter
 	gcDropped   *obs.Counter
 
-	// Dissemination trace handles (see ObserveSpan). spanAge only sees
-	// delivery-kind spans, giving the per-delivery end-to-end latency
-	// distribution of sampled messages.
+	// Span-ring handles. spanAge only sees delivery-kind spans, giving the
+	// per-delivery end-to-end latency distribution of sampled messages.
 	spansRecorded *obs.Counter
 	spanAge       *obs.Histogram
 
-	sample  int   // record every sample-th protocol event (<=1 = all)
+	sample  int   // record every sample-th event-ring record (<=1 = all)
 	evCount int64 // event-loop only, no atomics needed
 }
 
-var (
-	_ core.Observer     = (*nodeObs)(nil)
-	_ core.SpanObserver = (*nodeObs)(nil)
-)
-
-// ObserveSpan records one dissemination trace span into the node's span
-// ring (no-op when span recording is disabled). Only sampled messages
-// produce spans, so this path is cold unless Config.TraceSampleEvery is
-// set.
-func (o *nodeObs) ObserveSpan(s dtrace.Span) {
-	if o.n.sbuf == nil {
-		return
+// Observe feeds one record to the histograms and counters its kind
+// measures, to the event ring (sends, deliveries, pulls, link, parent and
+// root changes) and, for sampled messages, to the span ring.
+func (o *nodeObs) Observe(s dtrace.Span) {
+	event := true
+	switch s.Kind {
+	case dtrace.KindTreeDeliver, dtrace.KindPullDeliver, dtrace.KindSyncDeliver:
+		if s.Kind == dtrace.KindTreeDeliver {
+			o.treeForward.ObserveDuration(s.Age)
+		}
+		if s.Aux2 > 0 {
+			o.pullRTT.ObserveDuration(s.End - time.Duration(s.Aux2))
+		}
+	case dtrace.KindReassembly:
+		o.reassembly.ObserveDuration(s.End - s.Start)
+	case dtrace.KindParent, dtrace.KindRoot:
+		if s.Aux2 == 1 {
+			o.treeRepair.ObserveDuration(s.End - s.Start)
+		}
+	case dtrace.KindGossipRound:
+		o.gossipRound.ObserveDuration(s.End - s.Start)
+		event = false
+	case dtrace.KindSyncPage:
+		o.syncPages.Inc()
+		o.syncPage.Observe(float64(s.Aux2))
+		event = false
+	case dtrace.KindStoreGC:
+		o.gcSweep.ObserveDuration(s.End - s.Start)
+		o.gcReclaimed.Add(s.Aux)
+		o.gcDropped.Add(s.Aux2)
+		event = false
+	case dtrace.KindAdvert, dtrace.KindSymbolTree, dtrace.KindSymbolPull:
+		event = false
 	}
-	o.n.sbuf.Record(s)
-	o.spansRecorded.Inc()
-	if s.Kind.DeliveryKind() {
-		o.spanAge.ObserveDuration(s.Age)
+	if event && o.n.tbuf != nil {
+		o.evCount++
+		if o.sample <= 1 || (o.evCount-1)%int64(o.sample) == 0 {
+			o.n.tbuf.Record(s)
+		}
+	}
+	if s.Sampled && o.n.sbuf != nil {
+		o.n.sbuf.Record(s)
+		o.spansRecorded.Inc()
+		if s.Kind.DeliveryKind() {
+			o.spanAge.ObserveDuration(s.Age)
+		}
 	}
 }
 
-func (o *nodeObs) ObserveTreeForward(age time.Duration) { o.treeForward.ObserveDuration(age) }
-func (o *nodeObs) ObserveGossipRound(d time.Duration)   { o.gossipRound.ObserveDuration(d) }
-func (o *nodeObs) ObservePullRTT(d time.Duration)       { o.pullRTT.ObserveDuration(d) }
-func (o *nodeObs) ObserveTreeRepair(d time.Duration)    { o.treeRepair.ObserveDuration(d) }
-func (o *nodeObs) ObserveReassembly(d time.Duration)    { o.reassembly.ObserveDuration(d) }
-
-func (o *nodeObs) ObserveSyncPage(items int, bytes int64) {
-	o.syncPages.Inc()
-	o.syncPage.Observe(float64(bytes))
-}
-
-func (o *nodeObs) ObserveStoreGC(reclaimed, dropped int, d time.Duration) {
-	o.gcSweep.ObserveDuration(d)
-	o.gcReclaimed.Add(int64(reclaimed))
-	o.gcDropped.Add(int64(dropped))
-}
-
-func (o *nodeObs) Event(ev core.ObsEvent, peer core.NodeID, a, b int64) {
-	if o.n.tbuf == nil {
-		return
-	}
-	o.evCount++
-	if o.sample > 1 && (o.evCount-1)%int64(o.sample) != 0 {
-		return
-	}
-	e := trace.Event{At: o.n.env.Now(), Node: int32(o.n.opts.ID), Peer: int32(peer)}
-	switch ev {
-	case core.EvSend:
-		id := core.UnpackMessageID(a)
-		e.Kind = trace.KindSend
-		e.Detail = fmt.Sprintf("msg=%d/%d", id.Source, id.Seq)
-	case core.EvDeliver:
-		id := core.UnpackMessageID(a)
-		e.Kind = trace.KindDeliver
-		e.Detail = fmt.Sprintf("msg=%d/%d age=%v", id.Source, id.Seq, time.Duration(b))
-	case core.EvLinkUp:
-		e.Kind = trace.KindLinkUp
-		e.Detail = fmt.Sprintf("kind=%v rtt=%v", core.LinkKind(a), time.Duration(b))
-	case core.EvLinkDown:
-		e.Kind = trace.KindLinkDown
-		e.Detail = fmt.Sprintf("kind=%v rtt=%v", core.LinkKind(a), time.Duration(b))
-	case core.EvParent:
-		e.Kind = trace.KindParentChange
-		e.Detail = fmt.Sprintf("%d -> %d", a, b)
-	case core.EvRoot:
-		e.Kind = trace.KindRootChange
-		e.Detail = fmt.Sprintf("%d -> %d", a, b)
-	case core.EvPull:
-		id := core.UnpackMessageID(a)
-		e.Kind = trace.KindPull
-		e.Detail = fmt.Sprintf("msg=%d/%d attempt=%d", id.Source, id.Seq, b)
-	default:
-		return
-	}
-	o.n.tbuf.Add(e)
-}
-
-// setupObs wires the node's registry, trace ring, and core observer. Called
-// from NewNode before the event loop starts.
+// setupObs wires the node's registry, event and span rings, and core
+// observer. Called from NewNode before the event loop starts.
 func (n *Node) setupObs() {
 	reg := n.opts.Registry
 	if reg == nil {
@@ -155,7 +126,7 @@ func (n *Node) setupObs() {
 		capa = defaultTraceCapacity
 	}
 	if capa > 0 {
-		n.tbuf = trace.NewBuffer(capa)
+		n.tbuf = dtrace.NewBuffer(capa)
 	}
 	if n.opts.SpanCapacity >= 0 {
 		n.sbuf = dtrace.NewBuffer(n.opts.SpanCapacity)
@@ -388,8 +359,9 @@ func (n *Node) statsView(group string) map[string]int64 {
 func (n *Node) Registry() *obs.Registry { return n.reg }
 
 // Trace returns the node's protocol event ring, or nil when tracing was
-// disabled with a negative NodeOptions.TraceCapacity.
-func (n *Node) Trace() *trace.Buffer { return n.tbuf }
+// disabled with a negative NodeOptions.TraceCapacity. Its records print
+// as one line each (dtrace.Span.String).
+func (n *Node) Trace() *dtrace.Buffer { return n.tbuf }
 
 // Status returns a point-in-time view of the node for /statusz-style
 // surfacing. After Close/Kill it reports the last state collected before

@@ -284,41 +284,6 @@ func (ts *TimeSeries) Points() []SeriesPoint {
 	return out
 }
 
-// Counter is a named monotonic counter set used for protocol accounting
-// (messages sent, gossips, pulls, duplicates, ...). It is not safe for
-// concurrent use; see AtomicCounter for the goroutine-safe variant.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int64)} }
-
-// Inc adds delta to the named counter.
-func (c *Counter) Inc(name string, delta int64) { c.counts[name] += delta }
-
-// Get returns the named counter's value.
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns the counter names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts))
-	for n := range c.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders the counters as "name=value" pairs, sorted by name.
-func (c *Counter) String() string {
-	parts := make([]string, 0, len(c.counts))
-	for _, n := range c.Names() {
-		parts = append(parts, fmt.Sprintf("%s=%d", n, c.counts[n]))
-	}
-	return strings.Join(parts, " ")
-}
-
 // AtomicCounter is a named monotonic counter set safe for concurrent use.
 // Transports and fault injectors count events from many goroutines at once
 // (dials, redials, dropped frames, injected faults); snapshots surface the

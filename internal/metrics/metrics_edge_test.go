@@ -69,13 +69,3 @@ func TestHistogramCumulativeBeyondMax(t *testing.T) {
 		t.Fatalf("cumulative beyond max = %v, want 1", got)
 	}
 }
-
-func TestCounterZeroValueSafety(t *testing.T) {
-	c := NewCounter()
-	if c.String() != "" {
-		t.Fatalf("empty counter string = %q", c.String())
-	}
-	if len(c.Names()) != 0 {
-		t.Fatalf("empty counter has names")
-	}
-}

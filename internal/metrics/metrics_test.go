@@ -170,23 +170,6 @@ func TestTimeSeriesPanicsOnBadInterval(t *testing.T) {
 	NewTimeSeries(0)
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("sent", 3)
-	c.Inc("sent", 2)
-	c.Inc("dup", 1)
-	if c.Get("sent") != 5 || c.Get("dup") != 1 || c.Get("absent") != 0 {
-		t.Fatalf("counter values wrong: %s", c)
-	}
-	if got := c.String(); got != "dup=1 sent=5" {
-		t.Fatalf("String = %q", got)
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "dup" || names[1] != "sent" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
 func TestTable(t *testing.T) {
 	out := Table([]string{"proto", "mean"}, [][]string{{"gocast", "0.33"}, {"gossip", "2.9"}})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")

@@ -17,7 +17,6 @@ import (
 	"gocast/internal/latency"
 	"gocast/internal/metrics"
 	"gocast/internal/sim"
-	"gocast/internal/trace"
 )
 
 // Observer sees every simulated transmission, letting experiments account
@@ -41,13 +40,15 @@ type Options struct {
 	DetectionDelay time.Duration
 	// Observer, if set, sees every transmission.
 	Observer Observer
-	// Tracer, if set, records protocol events (link changes, parent
-	// changes, deliveries) for debugging.
-	Tracer *trace.Buffer
-	// Spans, if set, collects dissemination trace spans from every node
-	// (see internal/dtrace; sampling is controlled by
-	// Config.TraceSampleEvery). The engine is single-threaded and virtual
-	// time is globally comparable, so one shared buffer stitches exactly.
+	// Trace, if set, receives every node's telemetry records (deliveries,
+	// sends, pulls, link/parent/root changes, ...; see dtrace.Kind) for
+	// debugging.
+	Trace func(dtrace.Span)
+	// Spans, if set, collects the dissemination trace spans of sampled
+	// messages from every node (see internal/dtrace; sampling is
+	// controlled by Config.TraceSampleEvery). The engine is
+	// single-threaded and virtual time is globally comparable, so one
+	// shared buffer stitches exactly.
 	Spans *dtrace.Buffer
 	// Shards requests conservative parallel execution: nodes are
 	// partitioned into region shards along the latency matrix's
@@ -58,7 +59,7 @@ type Options struct {
 	// 0 or 1 runs sequentially. The effective count may be lower than
 	// requested (few sites, or no positive inter-shard latency floor —
 	// e.g. every node on one site — falls back to sequential); clusters
-	// with an Observer, Tracer, or Spans buffer always run sequentially,
+	// with an Observer, Trace, or Spans buffer always run sequentially,
 	// since those record from inside node callbacks and assume a single
 	// thread. Admission caps and link faults are incompatible with
 	// sharded execution (SetAdmission / SetFaults panic).
@@ -101,7 +102,6 @@ type Cluster struct {
 	// up on messages its dead life missed (RecoveryViolations).
 	firstJoin []time.Duration
 	detect    bool
-	linkLog   *metrics.TimeSeries // optional link-change recording
 
 	// Churn state. incar is each node's current incarnation (bumped on
 	// Restart); gen counts lives so that timers armed by a dead past life
@@ -239,7 +239,7 @@ func New(opts Options) *Cluster {
 // a single shard sharing the control engine (plain sequential execution).
 func (c *Cluster) buildShards() {
 	want := c.opts.Shards
-	if c.opts.Observer != nil || c.opts.Tracer != nil || c.opts.Spans != nil {
+	if c.opts.Observer != nil || c.opts.Trace != nil || c.opts.Spans != nil {
 		want = 1
 	}
 	var siteShard []int
@@ -317,8 +317,8 @@ func (c *Cluster) drainCross() {
 }
 
 // buildNode constructs a protocol instance for slot i with a fresh env of
-// the slot's current generation and wires the delivery, tree-repair, and
-// trace observers. It does not start the node.
+// the slot's current generation and wires the delivery callback and the
+// node observer. It does not start the node.
 func (c *Cluster) buildNode(i int) *core.Node {
 	sh := c.shards[c.shardOf[i]]
 	e := &env{c: c, sh: sh, id: core.NodeID(i), gen: c.gen[i], rng: rand.New(rand.NewSource(c.rng.Int63()))}
@@ -327,47 +327,32 @@ func (c *Cluster) buildNode(i int) *core.Node {
 	idx := i
 	n.OnDeliver(func(id core.MessageID, _ []byte, _ time.Duration) {
 		c.recordDelivery(id, idx, sh.eng.Now())
-		if tb := c.opts.Tracer; tb != nil {
-			tb.Addf(c.Engine.Now(), trace.KindDeliver, int32(idx), int32(id.Source), "msg=%s", id)
-		}
 	})
-	n.OnParentChange(func(old, new core.NodeID) {
-		c.noteParentChange(idx, new, sh.eng.Now())
-		if tb := c.opts.Tracer; tb != nil {
-			tb.Addf(c.Engine.Now(), trace.KindParentChange, int32(idx), int32(new), "old=%d", old)
-		}
-	})
-	if tb := c.opts.Tracer; tb != nil {
-		n.OnLinkChange(func(added bool, kind core.LinkKind, peer core.NodeID, rtt time.Duration) {
-			k := trace.KindLinkDown
-			if added {
-				k = trace.KindLinkUp
-			}
-			tb.Addf(c.Engine.Now(), k, int32(idx), int32(peer), "%s rtt=%v", kind, rtt)
-		})
-	}
-	if c.opts.Spans != nil {
-		n.SetObserver(&spanSink{buf: c.opts.Spans})
-	}
+	n.SetObserver(&nodeObs{c: c, idx: idx})
 	return n
 }
 
-// spanSink is the observer netsim installs when Options.Spans is set: it
-// forwards dissemination trace spans to the shared buffer and ignores the
-// metric hooks (the simulator has its own accounting).
-type spanSink struct {
-	buf *dtrace.Buffer
+// nodeObs is the observer netsim installs on every node: parent records
+// feed the tree-repair accounting, and the optional sinks get every
+// record (Trace) or the sampled trace spans (Spans). The accounting
+// writes only slot idx's cell and the locked recorder, so it is safe on
+// any shard; the sinks force sequential execution.
+type nodeObs struct {
+	c   *Cluster
+	idx int
 }
 
-func (s *spanSink) ObserveSpan(sp dtrace.Span)                     { s.buf.Record(sp) }
-func (s *spanSink) ObserveTreeForward(time.Duration)               {}
-func (s *spanSink) ObserveGossipRound(time.Duration)               {}
-func (s *spanSink) ObservePullRTT(time.Duration)                   {}
-func (s *spanSink) ObserveSyncPage(int, int64)                     {}
-func (s *spanSink) ObserveTreeRepair(time.Duration)                {}
-func (s *spanSink) ObserveStoreGC(int, int, time.Duration)         {}
-func (s *spanSink) ObserveReassembly(time.Duration)                {}
-func (s *spanSink) Event(core.ObsEvent, core.NodeID, int64, int64) {}
+func (o *nodeObs) Observe(s dtrace.Span) {
+	if s.Kind == dtrace.KindParent {
+		o.c.noteParentChange(o.idx, core.NodeID(s.From), s.End)
+	}
+	if o.c.opts.Trace != nil {
+		o.c.opts.Trace(s)
+	}
+	if s.Sampled && o.c.opts.Spans != nil {
+		o.c.opts.Spans.Record(s)
+	}
+}
 
 // Spans snapshots the cluster-wide dissemination span buffer (nil Options.
 // Spans yields nil).

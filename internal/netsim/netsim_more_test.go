@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"gocast/internal/core"
+	"gocast/internal/dtrace"
 	"gocast/internal/latency"
-	"gocast/internal/trace"
 )
 
 func TestLatencySymmetryAndSiteMapping(t *testing.T) {
@@ -168,22 +168,34 @@ func TestTreeSpansAfterWarmup(t *testing.T) {
 
 func TestTracerRecordsProtocolEvents(t *testing.T) {
 	cfg := core.DefaultConfig()
-	tb := trace.NewBuffer(4096)
-	c := New(Options{Nodes: 16, Seed: 9, Config: cfg, Tracer: tb})
+	kinds := map[dtrace.Kind]int{}
+	sampled := 0
+	c := New(Options{Nodes: 16, Seed: 9, Config: cfg, Trace: func(s dtrace.Span) {
+		kinds[s.Kind]++
+		if s.Sampled {
+			sampled++
+		}
+	}})
 	c.BootstrapMembership(12)
 	c.WireRandom(3)
 	c.Start(0)
 	c.Run(30 * time.Second)
 	c.Inject(2, nil)
 	c.Run(5 * time.Second)
-	if got := tb.Query(trace.Filter{Kinds: []trace.Kind{trace.KindDeliver}, Node: -1}); len(got) == 0 {
-		t.Errorf("no delivery events traced")
+	if kinds[dtrace.KindInject] != 1 || kinds[dtrace.KindTreeDeliver]+kinds[dtrace.KindPullDeliver]+kinds[dtrace.KindSyncDeliver] != 15 {
+		t.Errorf("delivery records %v, want one inject and 15 deliveries", kinds)
 	}
-	if got := tb.Query(trace.Filter{Kinds: []trace.Kind{trace.KindParentChange}, Node: -1}); len(got) == 0 {
-		t.Errorf("no parent-change events traced")
+	if kinds[dtrace.KindParent] == 0 {
+		t.Errorf("no parent-change records traced")
 	}
-	if got := tb.Query(trace.Filter{Kinds: []trace.Kind{trace.KindLinkUp, trace.KindLinkDown}, Node: -1}); len(got) == 0 {
-		t.Errorf("no link events traced")
+	if kinds[dtrace.KindLinkUp]+kinds[dtrace.KindLinkDown] == 0 {
+		t.Errorf("no link records traced")
+	}
+	if kinds[dtrace.KindTreeSend] == 0 || kinds[dtrace.KindGossipRound] == 0 {
+		t.Errorf("no tree-send or gossip-round records traced: %v", kinds)
+	}
+	if sampled != 0 {
+		t.Errorf("%d sampled records with tracing off", sampled)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gocast/internal/dtrace"
-	"gocast/internal/trace"
 )
 
 // AdminOptions wires a node's observability surfaces into the HTTP admin
@@ -20,8 +19,9 @@ type AdminOptions struct {
 	// Registry backs /metrics (Prometheus text format) and feeds the
 	// metrics portion of /statusz.
 	Registry *Registry
-	// Trace backs /tracez and renders recent protocol events.
-	Trace *trace.Buffer
+	// Trace backs /tracez and renders recent protocol events, one
+	// dtrace record per line.
+	Trace *dtrace.Buffer
 	// Spans backs /spans (dissemination trace spans as JSON, consumed by
 	// gocast-trace and dtrace.Collect) and /tracez?msg=src/seq (the
 	// node-local stitched view of one sampled message).
@@ -39,7 +39,8 @@ type AdminOptions struct {
 //	/metrics  Prometheus text exposition
 //	/statusz  JSON node status snapshot
 //	/healthz  200 "ok" or 503 with the failure reason
-//	/tracez   recent trace-ring events as text (?n=N tail, ?kind=K filter);
+//	/tracez   recent event-ring records as text (?n=N tail, ?kind=K filter
+//	          by dtrace kind name, e.g. tree-deliver, link-up, parent);
 //	          with ?msg=src/seq, this node's stitched dissemination trace
 //	          of that sampled message instead
 //	/spans    dissemination trace spans as a JSON array
@@ -103,10 +104,9 @@ func NewAdminHandler(o AdminOptions) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		f := trace.Filter{Node: -1}
-		events := o.Trace.Query(f)
+		events := o.Trace.Snapshot()
 		if s := req.URL.Query().Get("kind"); s != "" {
-			var keep []trace.Event
+			var keep []dtrace.Span
 			for _, e := range events {
 				if e.Kind.String() == s {
 					keep = append(keep, e)
