@@ -256,3 +256,31 @@ func TestReportString(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleSweepBalanceNotes checks that a sharded sweep point notes its
+// window count, mean window width and shard balance, that a sequential
+// one notes none, and that the deterministic columns agree.
+func TestScaleSweepBalanceNotes(t *testing.T) {
+	sc := tinyScale()
+	sc.Warmup, sc.Messages, sc.Drain = 20*time.Second, 5, 5*time.Second
+	seq := ScaleSweep(sc, []int{96})
+	sc.Shards = 2
+	sharded := ScaleSweep(sc, []int{96})
+	if got := sharded.Rows[0][1]; got != "2" {
+		t.Fatalf("sharded point ran on %s shards, want 2", got)
+	}
+	for _, col := range []int{0, 3, 5, 6, 7, 8} {
+		if seq.Rows[0][col] != sharded.Rows[0][col] {
+			t.Errorf("column %s: sequential %s, sharded %s",
+				seq.Header[col], seq.Rows[0][col], sharded.Rows[0][col])
+		}
+	}
+	if len(sharded.Notes) != len(seq.Notes)+1 {
+		t.Fatalf("sharded notes %q, want one more than sequential %q", sharded.Notes, seq.Notes)
+	}
+	note := sharded.Notes[len(sharded.Notes)-1]
+	if !strings.HasPrefix(note, "96 nodes: ") || !strings.Contains(note, " windows, mean width ") ||
+		!strings.Contains(note, "shard events max/mean ") {
+		t.Errorf("balance note %q", note)
+	}
+}

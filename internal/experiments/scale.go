@@ -26,6 +26,11 @@ func ScaleSweep(sc Scale, sizes []int) *Report {
 		Header: []string{"nodes", "shards", "wall", "events", "ev/s",
 			"p50", "p99", "delivered", "atomic-viol"},
 	}
+	rep.Notes = append(rep.Notes,
+		fmt.Sprintf("per point: %v warmup, %d messages at %.0f/s, %v drain, %d shards requested, seed %d",
+			sc.Warmup, sc.Messages, sc.Rate, sc.Drain, sc.Shards, sc.Seed),
+		"wall and ev/s are host wall-clock (not deterministic); all other columns are seed-deterministic and shard-count-independent",
+	)
 	for _, n := range sizes {
 		p := sc
 		p.Nodes = n
@@ -49,12 +54,19 @@ func ScaleSweep(sc Scale, sizes []int) *Report {
 			fmt.Sprintf("%.4f", rec.DeliveryRatio()),
 			fmt.Sprintf("%d", c.AtomicityViolations(5*time.Second)),
 		})
+		if windows, covered := c.ShardWindows(); windows > 0 {
+			var most, sum uint64
+			perShard := c.ShardEvents()
+			for _, e := range perShard {
+				sum += e
+				most = max(most, e)
+			}
+			rep.Notes = append(rep.Notes, fmt.Sprintf(
+				"%d nodes: %d windows, mean width %v, shard events max/mean %.2f",
+				n, windows, (covered/time.Duration(windows)).Round(time.Microsecond),
+				float64(most)*float64(len(perShard))/float64(sum)))
+		}
 	}
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("per point: %v warmup, %d messages at %.0f/s, %v drain, %d shards requested, seed %d",
-			sc.Warmup, sc.Messages, sc.Rate, sc.Drain, sc.Shards, sc.Seed),
-		"wall and ev/s are host wall-clock (not deterministic); all other columns are seed-deterministic and shard-count-independent",
-	)
 	return rep
 }
 

@@ -22,21 +22,29 @@ func (m *Matrix) Region(i int) int {
 // outside it — the latency floor below which the shard cannot affect
 // another shard, i.e. the safe window for independent advancement.
 //
+// load[i] is the number of simulated nodes placed on site i (nil counts
+// one per site); it is what the shards are balanced by, since a shard's
+// event count follows its node count and the slowest shard sets the
+// pace of every window.
+//
 // Synthesized matrices are cut along their geographic clusters, which
 // is the natural partition: intra-site traffic is LocalOneWay and
 // inter-region latencies are bounded well below by the ocean gaps, so
 // region cuts maximize the lookahead. When fewer shards are requested
-// than regions, the geographically closest groups are merged; when
-// more are requested, the largest groups are split around their two
-// most distant sites. Unlabeled matrices start as a single group and
-// rely purely on distance splitting.
+// than regions, whole regions are assigned to shards so that the
+// heaviest shard carries the least node load, ties broken by the
+// largest cross-shard latency floor (see balanceGroups); when more are
+// requested, the largest groups are split around their two most
+// distant sites. Unlabeled matrices start as a single group and rely
+// purely on distance splitting.
 //
-// The result is deterministic in the matrix alone. The effective shard
-// count may be lower than want (few sites, or unsplittable groups);
-// degenerate matrices whose cross-shard latency floor is not positive
-// collapse to a single shard, for which minOut is []{0} — callers must
-// treat a single-shard result as "run sequentially".
-func Partition(m *Matrix, want int) (siteShard []int, minOut []time.Duration) {
+// The result is deterministic in the matrix and load alone. The
+// effective shard count may be lower than want (few sites, or
+// unsplittable groups); degenerate matrices whose cross-shard latency
+// floor is not positive collapse to a single shard, for which minOut is
+// []{0} — callers must treat a single-shard result as "run
+// sequentially".
+func Partition(m *Matrix, want int, load []int) (siteShard []int, minOut []time.Duration) {
 	if want > m.n {
 		want = m.n
 	}
@@ -66,10 +74,6 @@ func Partition(m *Matrix, want int) (siteShard []int, minOut []time.Duration) {
 		}
 		groups = [][]int{all}
 	}
-
-	for len(groups) > want {
-		groups = mergeClosest(m, groups)
-	}
 	for len(groups) < want {
 		split, ok := splitWidest(m, groups)
 		if !ok {
@@ -78,27 +82,75 @@ func Partition(m *Matrix, want int) (siteShard []int, minOut []time.Duration) {
 		groups = split
 	}
 
-	// Canonical shard numbering: ascending minimum site index.
-	sort.Slice(groups, func(a, b int) bool { return minSite(groups[a]) < minSite(groups[b]) })
-	if len(groups) == 1 {
-		return siteShard, []time.Duration{0}
-	}
-	for s, g := range groups {
-		for _, site := range g {
-			siteShard[site] = s
+	// The one pass over site pairs: floor[a*g+b] is the minimum one-way
+	// latency between a site of group a and a site of group b.
+	g := len(groups)
+	groupOf := make([]int, m.n)
+	for gi, grp := range groups {
+		for _, site := range grp {
+			groupOf[site] = gi
 		}
 	}
-	minOut = make([]time.Duration, len(groups))
-	for s := range minOut {
-		minOut[s] = time.Duration(1) << 62
+	floor := make([]time.Duration, g*g)
+	for k := range floor {
+		floor[k] = never
 	}
 	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			if i == j || siteShard[i] == siteShard[j] {
+		row := floor[groupOf[i]*g : (groupOf[i]+1)*g]
+		us := m.us[i*m.n : (i+1)*m.n]
+		for j, gj := range groupOf {
+			if gj == groupOf[i] {
 				continue
 			}
-			if d := m.OneWay(i, j); d < minOut[siteShard[i]] {
-				minOut[siteShard[i]] = d
+			if d := time.Duration(us[j]) * time.Microsecond; d < row[gj] {
+				row[gj] = d
+			}
+		}
+	}
+
+	// shardOf maps each group to a shard; below want groups, one each.
+	shardOf := make([]int, g)
+	for gi := range shardOf {
+		shardOf[gi] = gi
+	}
+	if g > want {
+		groupLoad := make([]int, g)
+		for site := 0; site < m.n; site++ {
+			if load == nil {
+				groupLoad[groupOf[site]]++
+			} else {
+				groupLoad[groupOf[site]] += load[site]
+			}
+		}
+		shardOf = balanceGroups(groupLoad, floor, want)
+	}
+
+	// Canonical shard numbering: ascending minimum site index.
+	rank := make([]int, g)
+	for s := range rank {
+		rank[s] = -1
+	}
+	shards := 0
+	for site := range siteShard {
+		s := shardOf[groupOf[site]]
+		if rank[s] < 0 {
+			rank[s] = shards
+			shards++
+		}
+		siteShard[site] = rank[s]
+	}
+	if shards == 1 {
+		return siteShard, []time.Duration{0}
+	}
+	minOut = make([]time.Duration, shards)
+	for s := range minOut {
+		minOut[s] = never
+	}
+	for a := 0; a < g; a++ {
+		for b := 0; b < g; b++ {
+			sa := rank[shardOf[a]]
+			if sa != rank[shardOf[b]] && floor[a*g+b] < minOut[sa] {
+				minOut[sa] = floor[a*g+b]
 			}
 		}
 	}
@@ -122,44 +174,96 @@ func minSite(g []int) int {
 	return min
 }
 
-// groupDist is the minimum one-way latency between any site of a and
-// any site of b.
-func groupDist(m *Matrix, a, b []int) time.Duration {
-	best := time.Duration(1) << 62
-	for _, i := range a {
-		for _, j := range b {
-			if d := m.OneWay(i, j); d < best {
-				best = d
+// never stands for "no latency bound yet" in floor minimizations.
+const never = time.Duration(1) << 62
+
+// maxExactGroups bounds the exhaustive search in balanceGroups: 8 groups
+// into k shards is at most S(8,4) = 1,701 candidates, while synthesized
+// matrices have 5 regions (at most S(5,3) = 25).
+const maxExactGroups = 8
+
+// balanceGroups assigns g = len(load) groups to k < g shards, every
+// shard non-empty, and returns each group's shard. floor is the g×g
+// group latency floor table. Up to maxExactGroups groups it searches
+// every assignment for the one with the lightest heaviest shard, ties
+// broken by the largest cross-shard floor, then by enumeration order;
+// beyond that it places groups heaviest first onto the lightest shard.
+func balanceGroups(load []int, floor []time.Duration, k int) []int {
+	g := len(load)
+	if g > maxExactGroups {
+		return greedyGroups(load, k)
+	}
+	cur := make([]int, g)
+	best := make([]int, g)
+	shardLoad := make([]int, k)
+	bestMax, bestFloor := -1, time.Duration(0)
+	// Restricted growth strings: group i joins one of the shards opened
+	// so far or opens the next, so each set partition appears once.
+	var walk func(i, opened int)
+	walk = func(i, opened int) {
+		if g-i < k-opened {
+			return // too few groups left to open every shard
+		}
+		if i == g {
+			heaviest := 0
+			for _, l := range shardLoad {
+				if l > heaviest {
+					heaviest = l
+				}
 			}
+			cross := never
+			for a := 0; a < g; a++ {
+				for b := a + 1; b < g; b++ {
+					if cur[a] != cur[b] && floor[a*g+b] < cross {
+						cross = floor[a*g+b]
+					}
+				}
+			}
+			if bestMax < 0 || heaviest < bestMax || (heaviest == bestMax && cross > bestFloor) {
+				bestMax, bestFloor = heaviest, cross
+				copy(best, cur)
+			}
+			return
+		}
+		for s := 0; s <= opened && s < k; s++ {
+			cur[i] = s
+			shardLoad[s] += load[i]
+			next := opened
+			if s == opened {
+				next++
+			}
+			walk(i+1, next)
+			shardLoad[s] -= load[i]
 		}
 	}
+	walk(0, 0)
 	return best
 }
 
-// mergeClosest merges the pair of groups with the smallest cross
-// latency (ties broken by lowest site indexes), keeping the cut along
-// the widest gaps so the surviving shards retain the most lookahead.
-func mergeClosest(m *Matrix, groups [][]int) [][]int {
-	ba, bb := 0, 1
-	best := time.Duration(1)<<62 + 1
-	for a := 0; a < len(groups); a++ {
-		for b := a + 1; b < len(groups); b++ {
-			d := groupDist(m, groups[a], groups[b])
-			if d < best {
-				best, ba, bb = d, a, b
+// greedyGroups places groups heaviest first (ties by index) onto the
+// lightest shard (ties by fewest groups, then index), so the first k
+// groups open k distinct shards.
+func greedyGroups(load []int, k int) []int {
+	order := make([]int, len(load))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return load[order[a]] > load[order[b]] })
+	shardOf := make([]int, len(load))
+	shardLoad := make([]int, k)
+	members := make([]int, k)
+	for _, gi := range order {
+		s := 0
+		for t := 1; t < k; t++ {
+			if shardLoad[t] < shardLoad[s] || (shardLoad[t] == shardLoad[s] && members[t] < members[s]) {
+				s = t
 			}
 		}
+		shardOf[gi] = s
+		shardLoad[s] += load[gi]
+		members[s]++
 	}
-	merged := append(append([]int{}, groups[ba]...), groups[bb]...)
-	sort.Ints(merged)
-	out := make([][]int, 0, len(groups)-1)
-	for i, g := range groups {
-		if i == ba || i == bb {
-			continue
-		}
-		out = append(out, g)
-	}
-	return append(out, merged)
+	return shardOf
 }
 
 // splitWidest splits the largest group (>= 2 sites) around its two most

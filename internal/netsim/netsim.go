@@ -245,7 +245,12 @@ func (c *Cluster) buildShards() {
 	var siteShard []int
 	var minOut []time.Duration
 	if want > 1 {
-		siteShard, minOut = latency.Partition(c.Matrix, want)
+		// Node i sits on site i % Sites(): balance the shards by that.
+		load := make([]int, c.Matrix.Sites())
+		for i := 0; i < c.opts.Nodes; i++ {
+			load[i%len(load)]++
+		}
+		siteShard, minOut = latency.Partition(c.Matrix, want, load)
 	}
 	if len(minOut) <= 1 {
 		sh := &simShard{idx: 0, eng: c.Engine, outbox: make([][]crossEvent, 1)}
@@ -280,6 +285,27 @@ func (c *Cluster) ExecutedEvents() uint64 {
 		}
 	}
 	return total
+}
+
+// ShardEvents returns the events each shard engine has executed, in
+// shard order; a sequential cluster has one entry, its only engine. The
+// spread between entries is the partition's load balance.
+func (c *Cluster) ShardEvents() []uint64 {
+	out := make([]uint64, len(c.shards))
+	for s, sh := range c.shards {
+		out[s] = sh.eng.Executed()
+	}
+	return out
+}
+
+// ShardWindows returns how many parallel windows the sharded engine has
+// run and the virtual time they covered (zero when sequential); see
+// sim.ShardGroup.Windows.
+func (c *Cluster) ShardWindows() (count uint64, covered time.Duration) {
+	if c.group == nil {
+		return 0, 0
+	}
+	return c.group.Windows()
 }
 
 // nextKey issues slot id's next canonical event key: slot-major, with a
@@ -595,11 +621,12 @@ func (c *Cluster) Kill(i int) {
 	at := c.Engine.Now() + c.opts.DetectionDelay
 	for _, nb := range neighbors {
 		peer := int(nb.ID)
-		// The notification is an event of the peer, so it is scheduled on
-		// the peer's shard engine (Kill runs at a fence, where all engine
-		// clocks agree). Unkeyed: control events sort before node events
-		// at the same instant on every engine, identically in both modes.
-		c.shards[c.shardOf[peer]].eng.Schedule(at, func() {
+		// The notification is a control event, like the Kill that arms
+		// it: it fires at a fence on the control engine, ordered against
+		// other control events (a stream injection on the same instant)
+		// by scheduling order, and before any node event of that instant,
+		// on both engines alike.
+		c.Engine.Schedule(at, func() {
 			// Skip if the dead node already restarted: the peer's broken
 			// connection belonged to the old life, and the new life holds
 			// (or is negotiating) a distinct one.

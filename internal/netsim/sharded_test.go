@@ -102,6 +102,50 @@ func TestShardedMatchesSequentialOracle(t *testing.T) {
 	}
 }
 
+// TestShardedKillInjectTie pins the ordering of a kill's detection
+// notices against a stream injection on the same instant: KillFraction
+// at t arms the notices for t+DetectionDelay (1 s), and the 20th
+// injection at 20/s lands on that very instant. Both are control events,
+// so every engine runs them in scheduling order — notices first — and
+// the sharded results match the sequential oracle on every seed.
+func TestShardedKillInjectTie(t *testing.T) {
+	run := func(shards int, seed int64) (*Cluster, string) {
+		c := New(Options{Nodes: 64, Seed: seed, Config: core.DefaultConfig(), Shards: shards})
+		c.BootstrapMembership(c.opts.Config.MemberViewSize / 2)
+		c.WireRandom(c.opts.Config.TargetDegree() / 2)
+		c.Start(0)
+		c.Run(20 * time.Second)
+		c.KillFraction(0.2)
+		c.InjectStream(40, 20, []byte("tie"))
+		c.Run(10 * time.Second)
+		return c, fingerprint(c)
+	}
+	for seed := int64(1); seed <= 24; seed++ {
+		seq, want := run(1, seed)
+		for _, shards := range []int{2, 4} {
+			c, got := run(shards, seed)
+			if c.EffectiveShards() != shards {
+				t.Fatalf("seed %d: EffectiveShards = %d, want %d", seed, c.EffectiveShards(), shards)
+			}
+			if got != want || c.ExecutedEvents() != seq.ExecutedEvents() {
+				t.Errorf("seed %d, %d shards: results diverge from sequential oracle (%d vs %d events)\n%s",
+					seed, shards, c.ExecutedEvents(), seq.ExecutedEvents(), firstDiff(want, got))
+			}
+			var shardSum uint64
+			for s, e := range c.ShardEvents() {
+				if e == 0 {
+					t.Errorf("seed %d, %d shards: shard %d executed no events", seed, shards, s)
+				}
+				shardSum += e
+			}
+			if windows, covered := c.ShardWindows(); shardSum >= c.ExecutedEvents() || windows == 0 || covered != c.Engine.Now() {
+				t.Errorf("seed %d, %d shards: shard events %d of %d, %d windows covering %v of %v",
+					seed, shards, shardSum, c.ExecutedEvents(), windows, covered, c.Engine.Now())
+			}
+		}
+	}
+}
+
 // TestShardedDeterministicAcrossRuns pins run-to-run determinism of the
 // parallel engine itself: same seed, same shard count, byte-identical
 // results even though OS scheduling interleaves the shard goroutines

@@ -39,6 +39,11 @@ type ShardGroup struct {
 
 	work []chan window
 	done chan shardDone
+
+	// windows counts the parallel windows run so far and covered sums
+	// their virtual widths (see Windows).
+	windows uint64
+	covered time.Duration
 }
 
 // window is one parallel work order: run events at <= until, then park
@@ -79,6 +84,14 @@ func NewShardGroup(control *Engine, shards []*Engine, minOut []time.Duration, dr
 		g.work[i] = make(chan window, 1)
 	}
 	return g
+}
+
+// Windows reports how many parallel windows the group has run and the
+// virtual time they covered in total: covered/count is the mean window
+// width, the lookahead the partition actually buys per barrier. Both
+// depend only on event timestamps, so they are deterministic.
+func (g *ShardGroup) Windows() (count uint64, covered time.Duration) {
+	return g.windows, g.covered
 }
 
 // runWindow dispatches one window to all shards and waits for the
@@ -161,6 +174,8 @@ func (g *ShardGroup) Run(target time.Duration) {
 		}
 		// Parallel half-open window [t, w): Run(w-1) fires events with
 		// at <= w-1, AdvanceTo(w) parks every clock at the barrier.
+		g.windows++
+		g.covered += w - t
 		g.runWindow(window{until: w - time.Nanosecond, advance: w})
 		if g.drain != nil {
 			g.drain()
@@ -172,6 +187,8 @@ func (g *ShardGroup) Run(target time.Duration) {
 	// shard can schedule a cross-shard event at <= target anymore (every
 	// pending shard event fires at > target - minOut), so the shards can
 	// finish the closed interval concurrently.
+	g.windows++
+	g.covered += target - t
 	g.runWindow(window{until: target, advance: target})
 	if g.drain != nil {
 		g.drain()

@@ -192,6 +192,18 @@ func TestShardGroupControlBarriers(t *testing.T) {
 	if got := fmt.Sprint(fences); got != want {
 		t.Errorf("fence clocks = %v, want %v", got, want)
 	}
+
+	// Windows tile the run: their widths sum to the virtual time covered,
+	// across repeated Run calls too. A tick every 2ms with 1ms lookahead
+	// ends each window at most 2ms after it starts.
+	n, covered := g.Windows()
+	if covered != 30*time.Millisecond || n < 15 {
+		t.Errorf("Windows() = %d, %v after Run(30ms); want >= 15, 30ms", n, covered)
+	}
+	g.Run(45 * time.Millisecond)
+	if n2, covered := g.Windows(); covered != 45*time.Millisecond || n2 < n+7 {
+		t.Errorf("Windows() = %d, %v after Run(45ms); want >= %d, 45ms", n2, covered, n+7)
+	}
 }
 
 // TestShardGroupPanicPropagates ensures a panicking node callback
