@@ -94,8 +94,7 @@ func newApp(args []string, w io.Writer) (*app, error) {
 		redialMax      = fs.Duration("redial-backoff-max", 0, "redial backoff cap (0 = default 3s)")
 		idleTimeout    = fs.Duration("idle-timeout", 0, "reap outbound connections idle this long (0 = default 5m, negative disables)")
 
-		memBudget  = fs.Int64("mem-budget", 0, "overload memory budget in bytes over store plus queued frames; the node degrades near it and sheds publishes at it (0 = unlimited)")
-		shedPolicy = fs.String("shed-policy", "", "overload shed policy: priority (default; Background sheds first) or off (no classing, legacy single-queue behavior)")
+		memBudget = fs.Int64("mem-budget", 0, "overload memory budget in bytes over store plus queued frames; the node degrades near it and sheds publishes at it (0 = unlimited)")
 
 		storeMaxMsgs  = fs.Int("store-max-msgs", 0, "message store capacity in messages (0 = default 16384)")
 		storeMaxBytes = fs.Int64("store-max-bytes", 0, "message store capacity in payload bytes (0 = default 64 MiB)")
@@ -117,12 +116,6 @@ func newApp(args []string, w io.Writer) (*app, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	switch *shedPolicy {
-	case "", "priority", "off":
-	default:
-		return nil, fmt.Errorf("-shed-policy %q: want priority or off", *shedPolicy)
-	}
-
 	cfg := gocast.DefaultConfig()
 	cfg.StoreMaxMessages = *storeMaxMsgs
 	cfg.StoreMaxBytes = *storeMaxBytes
@@ -151,7 +144,6 @@ func newApp(args []string, w io.Writer) (*app, error) {
 		RedialBackoff:    *redialBackoff,
 		RedialBackoffMax: *redialMax,
 		IdleTimeout:      *idleTimeout,
-		ShedPolicy:       *shedPolicy,
 	})
 	if err != nil {
 		return nil, err
@@ -166,10 +158,7 @@ func newApp(args []string, w io.Writer) (*app, error) {
 		TraceCapacity: *traceCap,
 		TraceSample:   *traceSample,
 		SpanCapacity:  *spanCap,
-		Overload: gocast.OverloadOptions{
-			MemBudget:  *memBudget,
-			ShedPolicy: *shedPolicy,
-		},
+		Overload:      gocast.OverloadOptions{MemBudget: *memBudget},
 		OnDeliver: func(mid gocast.MessageID, payload []byte, age time.Duration) {
 			if !*quiet {
 				fmt.Printf("[%s age=%v] %s\n", mid, age.Round(time.Millisecond), payload)

@@ -146,8 +146,8 @@ type (
 	// Shedding), driven by queue occupancy and budget pressure.
 	OverloadLevel = core.OverloadLevel
 	// OverloadOptions tunes a live node's overload protection: mailbox
-	// lane capacities, memory budget, shed policy, and the degradation
-	// state machine's thresholds.
+	// lane capacities, memory budget, and the degradation state machine's
+	// thresholds.
 	OverloadOptions = live.OverloadOptions
 	// QueuePressure is a transport's send-queue occupancy summary, feeding
 	// the overload governor.

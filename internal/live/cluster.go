@@ -8,7 +8,6 @@ import (
 
 	"gocast/internal/churn"
 	"gocast/internal/core"
-	"gocast/internal/metrics"
 )
 
 // ClusterOptions configures an in-process cluster over a MemNetwork.
@@ -52,10 +51,6 @@ type Cluster struct {
 	nodes    []*Node
 	incar    []uint32
 	restarts int
-
-	// counters tracks cluster-level churn activity ("joins", "leaves",
-	// "crashes", "restarts", "skipped") for monitoring.
-	counters *metrics.AtomicCounter
 }
 
 // FastConfig returns protocol timing scaled for in-process clusters:
@@ -88,7 +83,7 @@ func NewCluster(opts ClusterOptions) *Cluster {
 	if opts.Latency <= 0 {
 		opts.Latency = 2 * time.Millisecond
 	}
-	c := &Cluster{Net: NewMemNetwork(opts.Latency, opts.Seed), opts: opts, counters: metrics.NewAtomicCounter()}
+	c := &Cluster{Net: NewMemNetwork(opts.Latency, opts.Seed), opts: opts}
 	if opts.PairLatency != nil {
 		base := opts.Latency
 		fn := opts.PairLatency
@@ -214,13 +209,6 @@ func (c *Cluster) Restarts() int {
 	return c.restarts
 }
 
-// ChurnCounters snapshots the cluster-level churn counters ("joins",
-// "leaves", "crashes", "restarts", "skipped"), in the same map shape as
-// the per-node ChurnStats accessor.
-func (c *Cluster) ChurnCounters() map[string]int64 {
-	return c.counters.Snapshot()
-}
-
 // AddNode grows the group by one node, joining through a running contact.
 // It returns the new slot index, or -1 if no contact is running.
 func (c *Cluster) AddNode() int {
@@ -237,7 +225,6 @@ func (c *Cluster) AddNode() int {
 	c.nodes[i] = n
 	n.SetLandmarks(c.landmarkEntries())
 	n.Join(c.nodes[contact].Entry())
-	c.counters.Inc("joins", 1)
 	return i
 }
 
@@ -245,7 +232,6 @@ func (c *Cluster) AddNode() int {
 func (c *Cluster) Crash(i int) {
 	if n := c.Node(i); !n.Stopped() {
 		n.Kill()
-		c.counters.Inc("crashes", 1)
 	}
 }
 
@@ -253,7 +239,6 @@ func (c *Cluster) Crash(i int) {
 func (c *Cluster) Leave(i int) {
 	if n := c.Node(i); !n.Stopped() {
 		n.Close()
-		c.counters.Inc("leaves", 1)
 	}
 }
 
@@ -277,7 +262,6 @@ func (c *Cluster) Restart(i int) bool {
 	c.nodes[i] = n
 	n.SetLandmarks(c.landmarkEntries())
 	n.Join(c.nodes[contact].Entry())
-	c.counters.Inc("restarts", 1)
 	return true
 }
 
@@ -361,18 +345,14 @@ func (c *Cluster) churnStep(k churn.Kind, opts ChurnOptions, rng *rand.Rand, st 
 	if minAlive < 1 {
 		minAlive = 1
 	}
-	skip := func() {
-		st.Skipped++
-		c.counters.Inc("skipped", 1)
-	}
 	switch k {
 	case churn.Join:
 		if opts.MaxNodes > 0 && c.Size() >= opts.MaxNodes {
-			skip()
+			st.Skipped++
 			return
 		}
 		if c.AddNode() < 0 {
-			skip()
+			st.Skipped++
 			return
 		}
 		st.Joins++
@@ -381,7 +361,7 @@ func (c *Cluster) churnStep(k churn.Kind, opts ChurnOptions, rng *rand.Rand, st 
 		i := c.lockedPickRunning(opts.Protected, rng)
 		c.mu.Unlock()
 		if i < 0 || c.AliveCount() <= minAlive {
-			skip()
+			st.Skipped++
 			return
 		}
 		if k == churn.Leave {
@@ -396,7 +376,7 @@ func (c *Cluster) churnStep(k churn.Kind, opts ChurnOptions, rng *rand.Rand, st 
 		i := c.lockedPickStopped(opts.Protected, rng)
 		c.mu.Unlock()
 		if i < 0 || !c.Restart(i) {
-			skip()
+			st.Skipped++
 			return
 		}
 		st.Restarts++

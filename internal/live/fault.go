@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gocast/internal/core"
-	"gocast/internal/metrics"
 )
 
 // Fault counter names, visible in FaultController.Counters snapshots.
@@ -136,14 +135,20 @@ func groupOf(groups [][]string, addr string) int {
 // every FaultTransport wrapped through it so pairwise rules (partitions)
 // are consistent across endpoints.
 type FaultController struct {
-	mu       sync.Mutex
-	rng      *rand.Rand
-	phases   []FaultPhase
-	start    time.Time
-	counters *metrics.AtomicCounter
+	mu     sync.Mutex
+	rng    *rand.Rand
+	phases []FaultPhase
+	start  time.Time
+	ctr    faultCounts
 	// bwFree tracks each capped link's virtual transmission clock: the
 	// controller-relative time at which the link next frees up.
 	bwFree map[bwKey]time.Duration
+}
+
+// faultCounts are the controller's verdict counters, one per CtrFault*
+// name, guarded by the controller's mutex.
+type faultCounts struct {
+	blocked, dropped, delayed, duplicated, reordered, throttled, passed int64
 }
 
 // bwKey identifies one bandwidth rule's state for one concrete endpoint
@@ -170,11 +175,10 @@ func NewFaultController(plan FaultPlan) *FaultController {
 // do not share it with other consumers.
 func NewFaultControllerRand(plan FaultPlan, rng *rand.Rand) *FaultController {
 	return &FaultController{
-		rng:      rng,
-		phases:   append([]FaultPhase(nil), plan.Phases...),
-		start:    time.Now(),
-		counters: metrics.NewAtomicCounter(),
-		bwFree:   make(map[bwKey]time.Duration),
+		rng:    rng,
+		phases: append([]FaultPhase(nil), plan.Phases...),
+		start:  time.Now(),
+		bwFree: make(map[bwKey]time.Duration),
 	}
 }
 
@@ -197,9 +201,21 @@ func (c *FaultController) Clear() {
 	c.bwFree = make(map[bwKey]time.Duration)
 }
 
-// Counters returns a snapshot of the fault counters (see the CtrFault*
-// constants).
-func (c *FaultController) Counters() map[string]int64 { return c.counters.Snapshot() }
+// Counters returns a snapshot of the fault counters, one entry per
+// CtrFault* name.
+func (c *FaultController) Counters() map[string]int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return map[string]int64{
+		CtrFaultBlocked:    c.ctr.blocked,
+		CtrFaultDropped:    c.ctr.dropped,
+		CtrFaultDelayed:    c.ctr.delayed,
+		CtrFaultDuplicated: c.ctr.duplicated,
+		CtrFaultReordered:  c.ctr.reordered,
+		CtrFaultThrottled:  c.ctr.throttled,
+		CtrFaultPassed:     c.ctr.passed,
+	}
+}
 
 // Wrap returns a Transport applying this controller's faults on top of
 // inner. Wrap every endpoint of a group through the same controller so
@@ -237,7 +253,7 @@ func (c *FaultController) judgeSized(from, to string, reliable bool, size int) f
 		}
 		anyActive = true
 		if p.blocks(from, to) {
-			c.counters.Inc(CtrFaultBlocked, 1)
+			c.ctr.blocked++
 			v.drop = true
 			continue
 		}
@@ -246,7 +262,7 @@ func (c *FaultController) judgeSized(from, to string, reliable bool, size int) f
 			prob = p.DropReliable
 		}
 		if prob > 0 && c.rng.Float64() < prob {
-			c.counters.Inc(CtrFaultDropped, 1)
+			c.ctr.dropped++
 			v.drop = true
 			continue
 		}
@@ -288,23 +304,23 @@ func (c *FaultController) judgeSized(from, to string, reliable bool, size int) f
 				rd = 20 * time.Millisecond
 			}
 			v.delay += rd
-			c.counters.Inc(CtrFaultReordered, 1)
+			c.ctr.reordered++
 		}
 		if p.Duplicate > 0 && c.rng.Float64() < p.Duplicate {
 			v.dup = true
-			c.counters.Inc(CtrFaultDuplicated, 1)
+			c.ctr.duplicated++
 		}
 	}
 	if v.drop {
 		return v
 	}
 	if throttled {
-		c.counters.Inc(CtrFaultThrottled, 1)
+		c.ctr.throttled++
 	}
 	if v.delay > 0 {
-		c.counters.Inc(CtrFaultDelayed, 1)
+		c.ctr.delayed++
 	} else if anyActive {
-		c.counters.Inc(CtrFaultPassed, 1)
+		c.ctr.passed++
 	}
 	return v
 }

@@ -8,49 +8,6 @@ import (
 	"gocast/internal/core"
 )
 
-func TestMemNetworkDatagramLoss(t *testing.T) {
-	net := NewMemNetwork(0, 1)
-	net.SetDatagramLoss(1.0) // drop everything
-	a := net.Endpoint("a")
-	a.SetFrom(1)
-	b := net.Endpoint("b")
-	b.SetFrom(2)
-	var (
-		mu  sync.Mutex
-		got int
-	)
-	b.SetHandlers(func(core.NodeID, core.Message) {
-		mu.Lock()
-		got++
-		mu.Unlock()
-	}, nil)
-	a.SetHandlers(func(core.NodeID, core.Message) {}, nil)
-	for i := 0; i < 20; i++ {
-		a.SendDatagram("b", 2, &core.TreeParent{})
-	}
-	// Reliable sends are unaffected by datagram loss.
-	a.Send("b", 2, &core.TreeParent{On: true})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := got
-		mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reliable send lost (got %d)", n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	time.Sleep(100 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if got != 1 {
-		t.Fatalf("datagrams leaked through full loss: %d deliveries", got)
-	}
-}
-
 func TestMemNetworkPartitionAndHeal(t *testing.T) {
 	net := NewMemNetwork(time.Millisecond, 2)
 	a := net.Endpoint("a")

@@ -119,7 +119,7 @@ func NewNode(opts NodeOptions) *Node {
 		core.ClassCritical:   opts.Overload.MailboxCritical,
 		core.ClassRepair:     opts.Overload.MailboxRepair,
 		core.ClassBackground: opts.Overload.MailboxBackground,
-	}, opts.Overload.ShedPolicy != "off")
+	})
 	n.gov = &governor{opts: opts.Overload}
 	env := &liveEnv{
 		n:     n,

@@ -163,39 +163,16 @@ func (n *Node) setupObs() {
 	n.pubRejected = reg.Counter("gocast_overload_publish_rejected_total", "local publishes rejected with ErrOverloaded while Shedding")
 	n.ovState = reg.Gauge("gocast_overload_state", "degradation level: 0 healthy, 1 degraded, 2 shedding")
 	n.ovTrans = reg.Counter("gocast_overload_transitions_total", "overload state-machine transitions")
-	// Pre-register the transport counter families present in the transport
-	// chain, so e.g. gocast_transport_tcp_redials_total exists (at zero)
-	// from the very first scrape rather than appearing after the first
-	// redial.
-	for t := n.opts.Transport; t != nil; {
-		if ft, ok := t.(*FaultTransport); ok {
-			for _, c := range []string{CtrFaultBlocked, CtrFaultDropped, CtrFaultDelayed,
-				CtrFaultDuplicated, CtrFaultReordered, CtrFaultThrottled, CtrFaultPassed} {
-				reg.Counter("gocast_transport_"+c+"_total", "transport counter "+c)
-			}
-			t = ft.Inner()
-			continue
-		}
-		if _, ok := t.(*TCPTransport); ok {
-			for _, c := range []string{CtrDials, CtrDialErrors, CtrRedials, CtrBackoffResets,
-				CtrWriteErrors, CtrFramesRequeue, CtrFramesDropped, CtrQueueOverflow,
-				CtrEncodeErrors, CtrIdleReaped, CtrPeersFailed,
-				CtrWriteBatches, CtrFramesWritten,
-				CtrDroppedCritical, CtrDroppedRepair, CtrDroppedBackground,
-				CtrPeerPauses, CtrPeerResumes} {
-				reg.Counter("gocast_transport_"+c+"_total", "transport counter "+c)
-			}
-		}
-		break
-	}
 	reg.AddCollector(n.collect)
 }
 
 // collect mirrors the node's protocol, store, and transport state into the
 // registry and refreshes the cached stats/status snapshots. It runs at
-// scrape time (as a registry collector) and from the stats accessors. Once
-// the node has stopped, the core-side mirror is skipped and the registry
-// keeps the values of the final collect performed during Close/Kill.
+// scrape time (as a registry collector) and from the stats accessors. The
+// store and transport snapshots carry every counter name, zeros included,
+// so the first run registers each family. Once the node has stopped, the
+// core-side mirror is skipped and the registry keeps the values of the
+// final collect performed during Close/Kill.
 func (n *Node) collect() {
 	n.obsMu.Lock()
 	defer n.obsMu.Unlock()

@@ -1,10 +1,12 @@
 package live
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"gocast/internal/core"
 	"gocast/internal/dtrace"
 	"gocast/internal/obs/promtest"
 )
@@ -269,5 +271,95 @@ func TestDisabledBufferRecordsNothing(t *testing.T) {
 			t.Fatalf("default-capacity event ring recorded nothing")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCounterFamiliesExistOnFirstScrape pins that every transport, fault
+// and store counter is exported, at zero, by the very first scrape of a
+// node that has seen no traffic, and that the snapshots behind those
+// families report the same names before and after traffic.
+func TestCounterFamiliesExistOnFirstScrape(t *testing.T) {
+	ctl := NewFaultController(FaultPlan{Seed: 1})
+	var tcps []*TCPTransport
+	var nodes []*Node
+	newNode := func(id core.NodeID) *Node {
+		tr, err := NewTCPTransport(id, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcps = append(tcps, tr)
+		n := NewNode(NodeOptions{ID: id, Config: FastConfig(), Transport: ctl.Wrap(tr), Seed: int64(id)})
+		nodes = append(nodes, n)
+		return n
+	}
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
+	a := newNode(0)
+	a.BecomeRoot()
+
+	want := []string{
+		CtrDials, CtrDialErrors, CtrRedials, CtrBackoffResets, CtrWriteErrors,
+		CtrFramesRequeue, CtrFramesDropped, CtrQueueOverflow, CtrEncodeErrors,
+		CtrIdleReaped, CtrPeersFailed, CtrWriteBatches, CtrFramesWritten,
+		CtrDroppedCritical, CtrDroppedRepair, CtrDroppedBackground,
+		CtrPeerPauses, CtrPeerResumes,
+		CtrFaultBlocked, CtrFaultDropped, CtrFaultDelayed, CtrFaultDuplicated,
+		CtrFaultReordered, CtrFaultThrottled, CtrFaultPassed,
+	}
+	families := make([]string, 0, len(want)+9)
+	for _, c := range want {
+		families = append(families, "gocast_transport_"+c+"_total")
+	}
+	for _, c := range []string{"puts", "duplicate_puts", "symbol_puts", "duplicate_symbol_puts",
+		"rejected_symbol_puts", "evictions", "reclaims_stable", "reclaims_aged", "tombstones_dropped"} {
+		families = append(families, "gocast_store_"+c+"_total")
+	}
+	got := map[string]int64{}
+	for _, m := range a.Registry().Gather() {
+		got[m.Name] = m.Value
+	}
+	for _, name := range families {
+		if v, ok := got[name]; !ok || v != 0 {
+			t.Errorf("first scrape: %s = %d, present %v; want present at 0", name, v, ok)
+		}
+	}
+
+	keys := func(m map[string]int64) string {
+		names := make([]string, 0, len(m))
+		for k := range m {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		return strings.Join(names, ",")
+	}
+	before := []string{keys(tcps[0].Stats()), keys(ctl.Counters()), keys(a.StoreStats())}
+
+	b := newNode(1)
+	b.Join(a.Entry())
+	deadline := time.Now().Add(10 * time.Second)
+	for a.Degree() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("pair never linked")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	id := a.Multicast([]byte("count me"))
+	for !b.Seen(id) {
+		if time.Now().After(deadline) {
+			t.Fatal("multicast never delivered")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if ts, st := tcps[0].Stats(), a.StoreStats(); ts[CtrFramesWritten] == 0 || st["puts"] == 0 {
+		t.Fatalf("traffic moved no counter: %s=%d, puts=%d", CtrFramesWritten, ts[CtrFramesWritten], st["puts"])
+	}
+	after := []string{keys(tcps[0].Stats()), keys(ctl.Counters()), keys(a.StoreStats())}
+	for i, what := range []string{"TCPTransport.Stats", "FaultController.Counters", "Node.StoreStats"} {
+		if before[i] != after[i] {
+			t.Errorf("%s names changed with traffic:\nbefore %s\nafter  %s", what, before[i], after[i])
+		}
 	}
 }

@@ -58,11 +58,6 @@ type OverloadOptions struct {
 	// the governor holds the node at least Degraded; at or above 100% it
 	// enters Shedding. 0 disables budget pressure.
 	MemBudget int64
-	// ShedPolicy selects the admission policy: "priority" (the default)
-	// classes and sheds as described above; "off" disables classing — all
-	// work is admitted through the blocking Critical lane, reproducing the
-	// pre-overload-protection behavior.
-	ShedPolicy string
 	// DegradeAt is the worst-lane occupancy fraction at which the node
 	// leaves Healthy (default 0.5). Recovery requires occupancy below
 	// DegradeAt/2 for HysteresisTicks consecutive evaluations.
@@ -107,9 +102,6 @@ func (o OverloadOptions) withDefaults() OverloadOptions {
 	}
 	if o.MailboxBackground <= 0 {
 		o.MailboxBackground = defMailboxBackground
-	}
-	if o.ShedPolicy != "off" {
-		o.ShedPolicy = "priority"
 	}
 	if o.DegradeAt <= 0 || o.DegradeAt > 1 {
 		o.DegradeAt = defDegradeAt
@@ -210,19 +202,18 @@ func (r *funcRing) pop() (func(), bool) {
 // Repair and Background admission never blocks (it yields the processor
 // once to the loop) and sheds on overflow.
 type mailbox struct {
-	mu       sync.Mutex
-	space    sync.Cond // signaled when the Critical lane frees a slot or on stop
-	rings    [core.NumClasses]funcRing
-	priority bool // false = ShedPolicy "off": everything through Critical
-	stopped  bool
-	shed     [core.NumClasses]int64
+	mu      sync.Mutex
+	space   sync.Cond // signaled when the Critical lane frees a slot or on stop
+	rings   [core.NumClasses]funcRing
+	stopped bool
+	shed    [core.NumClasses]int64
 
 	// wake carries at most one token; the loop drains all lanes per token.
 	wake chan struct{}
 }
 
-func newMailbox(caps [core.NumClasses]int, priority bool) *mailbox {
-	mb := &mailbox{priority: priority, wake: make(chan struct{}, 1)}
+func newMailbox(caps [core.NumClasses]int) *mailbox {
+	mb := &mailbox{wake: make(chan struct{}, 1)}
 	mb.space.L = &mb.mu
 	for c := range mb.rings {
 		mb.rings[c].cap = caps[c]
@@ -234,9 +225,6 @@ func newMailbox(caps [core.NumClasses]int, priority bool) *mailbox {
 // caller blocks until a slot frees (or the mailbox stops); otherwise a full
 // lane sheds immediately.
 func (mb *mailbox) push(cls core.Class, fn func(), wait bool) admit {
-	if !mb.priority {
-		cls = core.ClassCritical
-	}
 	mb.mu.Lock()
 	r := &mb.rings[cls]
 	if wait && cls == core.ClassCritical {

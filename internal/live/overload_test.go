@@ -105,36 +105,6 @@ func TestMailboxPriorityOrdering(t *testing.T) {
 	}
 }
 
-// TestShedPolicyOffDisablesClassing verifies the "off" escape hatch: all
-// classes share the blocking Critical lane, so Background work is neither
-// shed nor reordered.
-func TestShedPolicyOffDisablesClassing(t *testing.T) {
-	n := overloadTestNode(t, OverloadOptions{ShedPolicy: "off", MailboxBackground: 1})
-
-	gate := make(chan struct{})
-	n.post(func() { <-gate })
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		last := i == 7
-		if !n.enqueue(core.ClassBackground, false, func() {
-			if last {
-				close(done)
-			}
-		}) {
-			t.Fatalf("enqueue %d shed with policy off", i)
-		}
-	}
-	close(gate)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("queued work did not run")
-	}
-	if got := n.mbDropped.Value(); got != 0 {
-		t.Fatalf("policy off shed %d units, want 0", got)
-	}
-}
-
 // TestLoopPanicRecovered pins satellite (b): a panicking callback on the
 // event loop is recovered, counted, marks the node unhealthy, and the loop
 // keeps serving.
@@ -266,7 +236,7 @@ func TestGovernorHysteresis(t *testing.T) {
 func TestMailboxYieldsBeforeShedding(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const lane = 8
-	mb := newMailbox([core.NumClasses]int{lane, lane, lane}, true)
+	mb := newMailbox([core.NumClasses]int{lane, lane, lane})
 	ran := 0
 	gate := make(chan struct{})
 	done := make(chan struct{})

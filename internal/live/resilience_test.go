@@ -1,7 +1,6 @@
 package live
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -46,37 +45,4 @@ func TestNodeAPIAfterKillReturnsZeroValues(t *testing.T) {
 	// Stopping again is idempotent, in either form.
 	n.Kill()
 	n.Close()
-}
-
-// TestSetDatagramLossConcurrentWithTraffic exercises the satellite race
-// fix: retuning loss while delivery goroutines evaluate the drop function
-// must be safe (validated under -race).
-func TestSetDatagramLossConcurrentWithTraffic(t *testing.T) {
-	net := NewMemNetwork(0, 5)
-	a := net.Endpoint("a")
-	a.SetFrom(1)
-	b := net.Endpoint("b")
-	b.SetFrom(2)
-	a.SetHandlers(func(core.NodeID, core.Message) {}, nil)
-	b.SetHandlers(func(core.NodeID, core.Message) {}, nil)
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			net.SetDatagramLoss(float64(i%3) / 3)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			a.SendDatagram("b", 2, &core.TreeParent{})
-		}
-	}()
-	wg.Wait()
-	// Let in-flight deliveries finish before the endpoints close.
-	time.Sleep(50 * time.Millisecond)
-	a.Close()
-	b.Close()
 }

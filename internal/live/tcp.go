@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"gocast/internal/core"
-	"gocast/internal/metrics"
 	"gocast/internal/wire"
 )
 
@@ -41,11 +40,46 @@ const (
 	CtrPeerResumes       = "tcp_peer_resumes"              // slow peers recovered
 )
 
-// ctrDroppedByClass maps a core.Class to its drop-attribution counter.
-var ctrDroppedByClass = [core.NumClasses]string{
-	core.ClassCritical:   CtrDroppedCritical,
-	core.ClassRepair:     CtrDroppedRepair,
-	core.ClassBackground: CtrDroppedBackground,
+// tcpCounts holds one counter per Ctr* name. Writers, dialers and the
+// reaper all count, so each is an atomic.
+type tcpCounts struct {
+	dials, dialErrors, redials, backoffResets  atomic.Int64
+	writeErrors, framesRequeued, framesDropped atomic.Int64
+	queueOverflows, encodeErrors, idleReaped   atomic.Int64
+	peersFailed, writeBatches, framesWritten   atomic.Int64
+	peerPauses, peerResumes                    atomic.Int64
+	// droppedByClass is indexed by core.Class.
+	droppedByClass [core.NumClasses]atomic.Int64
+}
+
+// dropped counts n abandoned frames of class cls.
+func (c *tcpCounts) dropped(cls core.Class, n int64) {
+	c.framesDropped.Add(n)
+	c.droppedByClass[cls].Add(n)
+}
+
+// snapshot returns every counter under its Ctr* name.
+func (c *tcpCounts) snapshot() map[string]int64 {
+	return map[string]int64{
+		CtrDials:             c.dials.Load(),
+		CtrDialErrors:        c.dialErrors.Load(),
+		CtrRedials:           c.redials.Load(),
+		CtrBackoffResets:     c.backoffResets.Load(),
+		CtrWriteErrors:       c.writeErrors.Load(),
+		CtrFramesRequeue:     c.framesRequeued.Load(),
+		CtrFramesDropped:     c.framesDropped.Load(),
+		CtrQueueOverflow:     c.queueOverflows.Load(),
+		CtrEncodeErrors:      c.encodeErrors.Load(),
+		CtrIdleReaped:        c.idleReaped.Load(),
+		CtrPeersFailed:       c.peersFailed.Load(),
+		CtrWriteBatches:      c.writeBatches.Load(),
+		CtrFramesWritten:     c.framesWritten.Load(),
+		CtrDroppedCritical:   c.droppedByClass[core.ClassCritical].Load(),
+		CtrDroppedRepair:     c.droppedByClass[core.ClassRepair].Load(),
+		CtrDroppedBackground: c.droppedByClass[core.ClassBackground].Load(),
+		CtrPeerPauses:        c.peerPauses.Load(),
+		CtrPeerResumes:       c.peerResumes.Load(),
+	}
 }
 
 // TCPOptions tunes the transport's resilience behavior. The zero value is
@@ -97,11 +131,6 @@ type TCPOptions struct {
 	// and Repair traffic halved until the EWMA falls below half the
 	// threshold (default 200ms; negative disables flow control).
 	SlowWriteThreshold time.Duration
-	// ShedPolicy mirrors OverloadOptions.ShedPolicy: "priority" (default)
-	// classes frames as above; "off" sends every class through the
-	// Critical ring with the soft cap as its hard cap, reproducing the
-	// single-queue pre-classing behavior.
-	ShedPolicy string
 }
 
 func (o TCPOptions) withDefaults() TCPOptions {
@@ -147,14 +176,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	if o.SlowWriteThreshold == 0 {
 		o.SlowWriteThreshold = 200 * time.Millisecond
 	}
-	if o.ShedPolicy != "off" {
-		o.ShedPolicy = "priority"
-	}
-	if o.ShedPolicy == "off" {
-		// Single-queue compatibility: everything Critical, no elastic
-		// headroom beyond the soft cap.
-		o.QueueCriticalHard = o.QueueCritical
-	}
 	return o
 }
 
@@ -176,8 +197,6 @@ type TCPTransport struct {
 	addr string
 	opts TCPOptions
 
-	counters *metrics.AtomicCounter
-
 	// lastPressure rate-limits pressure-handler kicks (unix nanos).
 	lastPressure atomic.Int64
 
@@ -194,6 +213,10 @@ type TCPTransport struct {
 	encLogged  map[string]bool // peers whose encode errors were already logged
 	wg         sync.WaitGroup
 	stopReaper chan struct{}
+
+	// ctr comes last, away from handler and mu, which every inbound frame
+	// and every Send touch: each writer adds to it once per write.
+	ctr tcpCounts
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -232,7 +255,6 @@ func NewTCPTransportWithOptions(id core.NodeID, listenAddr string, opts TCPOptio
 		udp:        udp,
 		addr:       ln.Addr().String(),
 		opts:       opts.withDefaults(),
-		counters:   metrics.NewAtomicCounter(),
 		conns:      make(map[string]*peerConn),
 		udpAddrs:   make(map[string]*net.UDPAddr),
 		inbound:    make(map[net.Conn]bool),
@@ -252,9 +274,9 @@ func NewTCPTransportWithOptions(id core.NodeID, listenAddr string, opts TCPOptio
 // Addr returns the listening address.
 func (t *TCPTransport) Addr() string { return t.addr }
 
-// Stats returns a snapshot of the transport's counters (see the Ctr*
-// constants for the names).
-func (t *TCPTransport) Stats() map[string]int64 { return t.counters.Snapshot() }
+// Stats returns a snapshot of the transport's counters, one entry per Ctr*
+// name.
+func (t *TCPTransport) Stats() map[string]int64 { return t.ctr.snapshot() }
 
 // SetHandlers registers the inbound callbacks.
 func (t *TCPTransport) SetHandlers(h Handler, f FailureHandler) {
@@ -271,7 +293,7 @@ func (t *TCPTransport) SetHandlers(h Handler, f FailureHandler) {
 // encodeError counts a wire serialization failure and logs it once per
 // peer (they indicate a bug or an oversized payload, not a network issue).
 func (t *TCPTransport) encodeError(addr string, err error) {
-	t.counters.Inc(CtrEncodeErrors, 1)
+	t.ctr.encodeErrors.Add(1)
 	t.mu.Lock()
 	logged := t.encLogged[addr]
 	if !logged {
@@ -290,9 +312,6 @@ func (t *TCPTransport) encodeError(addr string, err error) {
 // only a hard-cap overflow (a truly wedged peer) drops the peer.
 func (t *TCPTransport) Send(addr string, to core.NodeID, m core.Message) {
 	cls := core.ClassOf(m)
-	if t.opts.ShedPolicy == "off" {
-		cls = core.ClassCritical
-	}
 	buf, err := wire.Append(nil, t.id, m)
 	if err != nil {
 		t.encodeError(addr, err)
@@ -315,15 +334,13 @@ func (t *TCPTransport) Send(addr string, to core.NodeID, m core.Message) {
 			t.notifyPressure(critDepth >= t.opts.QueueCritical)
 		}
 	case enqShed:
-		t.counters.Inc(CtrFramesDropped, 1)
-		t.counters.Inc(ctrDroppedByClass[cls], 1)
+		t.ctr.dropped(cls, 1)
 	case enqOverflow:
 		// Critical hard cap exceeded; treat like a broken pipe so the
 		// protocol reacts instead of the caller blocking. The queued
 		// frames are lost with the peer.
-		t.counters.Inc(CtrQueueOverflow, 1)
-		t.counters.Inc(CtrFramesDropped, 1)
-		t.counters.Inc(ctrDroppedByClass[cls], 1)
+		t.ctr.queueOverflows.Add(1)
+		t.ctr.dropped(cls, 1)
 		t.countQueuedDrops(pc)
 		t.dropPeer(pc, true)
 	}
@@ -332,14 +349,10 @@ func (t *TCPTransport) Send(addr string, to core.NodeID, m core.Message) {
 // countQueuedDrops attributes every frame still queued on pc to the drop
 // counters (called when the peer is being abandoned).
 func (t *TCPTransport) countQueuedDrops(pc *peerConn) {
-	perClass, total := pc.queuedPerClass()
-	if total == 0 {
-		return
-	}
-	t.counters.Inc(CtrFramesDropped, total)
+	perClass, _ := pc.queuedPerClass()
 	for c, n := range perClass {
 		if n > 0 {
-			t.counters.Inc(ctrDroppedByClass[c], n)
+			t.ctr.dropped(core.Class(c), n)
 		}
 	}
 }
@@ -471,10 +484,10 @@ func (t *TCPTransport) writeLoop(pc *peerConn) {
 			if errors.Is(err, errPeerStopped) {
 				return
 			}
-			t.counters.Inc(CtrDialErrors, 1)
+			t.ctr.dialErrors.Add(1)
 			failures++
 			if failures > t.opts.RedialAttempts {
-				t.counters.Inc(CtrPeersFailed, 1)
+				t.ctr.peersFailed.Add(1)
 				t.countQueuedDrops(pc)
 				t.dropPeer(pc, true)
 				return
@@ -488,12 +501,12 @@ func (t *TCPTransport) writeLoop(pc *peerConn) {
 			}
 			continue
 		}
-		t.counters.Inc(CtrDials, 1)
+		t.ctr.dials.Add(1)
 		if hadConn || failures > 0 {
-			t.counters.Inc(CtrRedials, 1)
+			t.ctr.redials.Add(1)
 		}
 		if failures > 0 {
-			t.counters.Inc(CtrBackoffResets, 1)
+			t.ctr.backoffResets.Add(1)
 		}
 		failures = 0
 		backoff = t.opts.RedialBackoff
@@ -636,7 +649,7 @@ func (t *TCPTransport) reapLoop() {
 		}
 		t.mu.Unlock()
 		for _, pc := range idle {
-			t.counters.Inc(CtrIdleReaped, 1)
+			t.ctr.idleReaped.Add(1)
 			t.dropPeer(pc, false)
 		}
 	}

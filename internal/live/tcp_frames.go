@@ -290,15 +290,15 @@ func (t *TCPTransport) writeFrames(pc *peerConn, conn net.Conn) bool {
 			_, err = pc.wv.WriteTo(conn)
 			written = frames - len(pc.wv)
 		}
-		t.counters.Inc(CtrWriteBatches, 1)
-		t.counters.Inc(CtrFramesWritten, int64(written))
+		t.ctr.writeBatches.Add(1)
+		t.ctr.framesWritten.Add(int64(written))
 		pc.finishBatch(written)
 		if err != nil {
 			// A partly written frame is fine to resend whole: the broken
 			// connection is discarded, so the remote never sees a frame
 			// spliced across connections.
-			t.counters.Inc(CtrWriteErrors, 1)
-			t.counters.Inc(CtrFramesRequeue, int64(frames-written))
+			t.ctr.writeErrors.Add(1)
+			t.ctr.framesRequeued.Add(int64(frames - written))
 			conn.Close()
 			t.mu.Lock()
 			if pc.conn == conn {
@@ -326,11 +326,11 @@ func (t *TCPTransport) noteWriteLatency(pc *peerConn, d time.Duration) {
 	switch {
 	case !pc.slow.Load() && ewma > int64(thresh):
 		pc.slow.Store(true)
-		t.counters.Inc(CtrPeerPauses, 1)
+		t.ctr.peerPauses.Add(1)
 		t.notifyPressure(false)
 	case pc.slow.Load() && ewma < int64(thresh)/2:
 		pc.slow.Store(false)
-		t.counters.Inc(CtrPeerResumes, 1)
+		t.ctr.peerResumes.Add(1)
 	}
 }
 

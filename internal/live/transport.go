@@ -47,9 +47,6 @@ type MemNetwork struct {
 	eps     map[string]*MemTransport
 	latency func(from, to string) time.Duration
 	rng     *rand.Rand
-	// Drop, when set, is consulted per message; return true to lose it
-	// (applies to datagrams only, mirroring UDP).
-	drop func() bool
 }
 
 // NewMemNetwork returns an empty fabric with the given base latency
@@ -78,19 +75,6 @@ func (n *MemNetwork) SetLatency(fn func(from, to string) time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.latency = fn
-}
-
-// SetDatagramLoss makes datagrams drop with probability p.
-func (n *MemNetwork) SetDatagramLoss(p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	// The closure is invoked from delivery goroutines; n.rng is not
-	// goroutine-safe, so take the fabric lock like the latency closure does.
-	n.drop = func() bool {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.rng.Float64() < p
-	}
 }
 
 // Endpoint creates and registers a transport with the given address.
@@ -154,7 +138,8 @@ func (t *MemTransport) Send(addr string, to core.NodeID, m core.Message) {
 	t.deliver(addr, to, m, true)
 }
 
-// SendDatagram delivers best-effort: losses and dead targets are silent.
+// SendDatagram delivers best-effort: a dead target is silent. Datagram
+// loss is a FaultTransport phase (FaultPhase.Drop), not a fabric setting.
 func (t *MemTransport) SendDatagram(addr string, to core.NodeID, m core.Message) {
 	t.deliver(addr, to, m, false)
 }
@@ -173,14 +158,6 @@ func (t *MemTransport) deliver(addr string, to core.NodeID, m core.Message, reli
 			go fail(to)
 		}
 		return
-	}
-	if !reliable {
-		t.net.mu.Lock()
-		drop := t.net.drop
-		t.net.mu.Unlock()
-		if drop != nil && drop() {
-			return
-		}
 	}
 	t.net.mu.Lock()
 	lat := t.net.latency

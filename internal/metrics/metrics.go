@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -282,58 +281,4 @@ func (ts *TimeSeries) Points() []SeriesPoint {
 		}
 	}
 	return out
-}
-
-// AtomicCounter is a named monotonic counter set safe for concurrent use.
-// Transports and fault injectors count events from many goroutines at once
-// (dials, redials, dropped frames, injected faults); snapshots surface the
-// totals to experiment harnesses and stats endpoints.
-type AtomicCounter struct {
-	mu     sync.Mutex
-	counts map[string]int64
-}
-
-// NewAtomicCounter returns an empty goroutine-safe counter set.
-func NewAtomicCounter() *AtomicCounter {
-	return &AtomicCounter{counts: make(map[string]int64)}
-}
-
-// Inc adds delta to the named counter.
-func (c *AtomicCounter) Inc(name string, delta int64) {
-	c.mu.Lock()
-	c.counts[name] += delta
-	c.mu.Unlock()
-}
-
-// Get returns the named counter's value.
-func (c *AtomicCounter) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[name]
-}
-
-// Snapshot returns a point-in-time copy of all counters.
-func (c *AtomicCounter) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.counts))
-	for n, v := range c.counts {
-		out[n] = v
-	}
-	return out
-}
-
-// String renders the counters as "name=value" pairs, sorted by name.
-func (c *AtomicCounter) String() string {
-	snap := c.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s=%d", n, snap[n]))
-	}
-	return strings.Join(parts, " ")
 }

@@ -3,17 +3,14 @@ package store
 import (
 	"sort"
 	"time"
-
-	"gocast/internal/metrics"
 )
 
 // Memory is the production in-memory MessageStore: a hash map for O(1)
 // lookup, per-source sorted sequence indexes for ordered range scans and
 // digests, FIFO eviction against the count and byte caps, and
 // stability-based reclamation with an age fallback. It is not goroutine
-// safe except for Counters, Len, and Bytes snapshots being internally
-// consistent when driven from a single thread; core drives it from the
-// node's event loop.
+// safe: core drives every method, Counters, Len and Bytes included, from
+// the node's event loop.
 //
 // Records live in a slab: the map stores slot indices into one flat
 // []memRec, and dropped slots are recycled through a free list. In
@@ -45,7 +42,16 @@ type Memory struct {
 	bytes  int64
 	live   int
 
-	counters *metrics.AtomicCounter
+	ctr memCounts
+}
+
+// memCounts are the store's activity counters, reported by Counters under
+// the names given there.
+type memCounts struct {
+	puts, duplicatePuts                                 int64
+	symbolPuts, duplicateSymbolPuts, rejectedSymbolPuts int64
+	evictions, reclaimsStable, reclaimsAged             int64
+	tombstonesDropped                                   int64
 }
 
 type memRec struct {
@@ -85,7 +91,6 @@ func NewMemory(limits Limits) *Memory {
 		limits:   limits.withDefaults(),
 		recs:     make(map[uint64]int32),
 		bySource: make(map[int32][]uint32),
-		counters: metrics.NewAtomicCounter(),
 	}
 }
 
@@ -135,7 +140,7 @@ func (m *Memory) lookup(id ID) *memRec {
 func (m *Memory) Put(id ID, payload []byte, now time.Duration) bool {
 	k := pk(id)
 	if _, ok := m.recs[k]; ok {
-		m.counters.Inc("duplicate_puts", 1)
+		m.ctr.duplicatePuts++
 		return false
 	}
 	i := m.alloc()
@@ -146,7 +151,7 @@ func (m *Memory) Put(id ID, payload []byte, now time.Duration) bool {
 	m.evictQ = append(m.evictQ, id)
 	m.bytes += int64(len(payload))
 	m.live++
-	m.counters.Inc("puts", 1)
+	m.ctr.puts++
 	m.enforceCaps(now)
 	return true
 }
@@ -165,7 +170,7 @@ func (m *Memory) enforceCaps(now time.Duration) {
 			continue // lazily skip records GC reclaimed first
 		}
 		m.reclaim(id, r, now)
-		m.counters.Inc("evictions", 1)
+		m.ctr.evictions++
 	}
 }
 
@@ -197,7 +202,7 @@ func (m *Memory) Get(id ID) ([]byte, bool) {
 // PutSymbol inserts one symbol, creating the record on first contact.
 func (m *Memory) PutSymbol(id ID, idx int, data []byte, meta SymbolMeta, now time.Duration) bool {
 	if meta.K == 0 || meta.N < meta.K || int(meta.N) > SymbolWords*64 || idx < 0 || idx >= int(meta.N) {
-		m.counters.Inc("rejected_symbol_puts", 1)
+		m.ctr.rejectedSymbolPuts++
 		return false
 	}
 	r := m.lookup(id)
@@ -209,16 +214,16 @@ func (m *Memory) PutSymbol(id ID, idx int, data []byte, meta SymbolMeta, now tim
 		m.insertSeq(id)
 		m.evictQ = append(m.evictQ, id)
 		m.live++
-		m.counters.Inc("puts", 1)
+		m.ctr.puts++
 	}
 	if r.reclaimed || r.syms == nil || r.symMeta != meta || r.have.Has(idx) {
-		m.counters.Inc("duplicate_symbol_puts", 1)
+		m.ctr.duplicateSymbolPuts++
 		return false
 	}
 	r.syms[idx] = data
 	r.have.Add(idx)
 	m.bytes += int64(len(data))
-	m.counters.Inc("symbol_puts", 1)
+	m.ctr.symbolPuts++
 	m.enforceCaps(now)
 	return true
 }
@@ -330,18 +335,18 @@ func (m *Memory) GC(now time.Duration) GCResult {
 				delete(m.recs, k)
 				m.free = append(m.free, i)
 				res.Dropped = append(res.Dropped, id)
-				m.counters.Inc("tombstones_dropped", 1)
+				m.ctr.tombstonesDropped++
 			}
 			continue
 		}
 		if r.releaseAt > 0 && now >= r.releaseAt {
 			m.reclaim(id, r, now)
 			res.Reclaimed = append(res.Reclaimed, id)
-			m.counters.Inc("reclaims_stable", 1)
+			m.ctr.reclaimsStable++
 		} else if now-r.storedAt >= m.limits.MaxAge {
 			m.reclaim(id, r, now)
 			res.Reclaimed = append(res.Reclaimed, id)
-			m.counters.Inc("reclaims_aged", 1)
+			m.ctr.reclaimsAged++
 		}
 	}
 	// Compact the eviction queue: records reclaimed by this or earlier
@@ -363,8 +368,22 @@ func (m *Memory) Len() int { return m.live }
 // Bytes returns the live payload bytes held.
 func (m *Memory) Bytes() int64 { return m.bytes }
 
-// Counters snapshots the store's activity counters.
-func (m *Memory) Counters() map[string]int64 { return m.counters.Snapshot() }
+// Counters snapshots the store's activity counters, every name present
+// from the start.
+func (m *Memory) Counters() map[string]int64 {
+	c := &m.ctr
+	return map[string]int64{
+		"puts":                  c.puts,
+		"duplicate_puts":        c.duplicatePuts,
+		"symbol_puts":           c.symbolPuts,
+		"duplicate_symbol_puts": c.duplicateSymbolPuts,
+		"rejected_symbol_puts":  c.rejectedSymbolPuts,
+		"evictions":             c.evictions,
+		"reclaims_stable":       c.reclaimsStable,
+		"reclaims_aged":         c.reclaimsAged,
+		"tombstones_dropped":    c.tombstonesDropped,
+	}
+}
 
 // insertSeq adds id.Seq to its source's sorted index.
 func (m *Memory) insertSeq(id ID) {
