@@ -13,7 +13,6 @@ import (
 
 	"gocast/internal/core"
 	"gocast/internal/dtrace"
-	"gocast/internal/graph"
 	"gocast/internal/latency"
 	"gocast/internal/metrics"
 	"gocast/internal/sim"
@@ -601,516 +600,6 @@ func (c *Cluster) AdmissionSheds() map[core.Class]int64 {
 		out[cls] = c.admShed[cls]
 	}
 	return out
-}
-
-// Kill fails node i immediately: its timers stop, queued and future
-// traffic to and from it is dropped. If detection is enabled its overlay
-// neighbors learn of the break after DetectionDelay.
-func (c *Cluster) Kill(i int) {
-	if !c.alive[i] {
-		return
-	}
-	neighbors := c.nodes[i].Neighbors()
-	c.alive[i] = false
-	c.detachedAt[i] = -1
-	c.nodes[i].Stop()
-	if !c.detect {
-		return
-	}
-	genAtKill := c.gen[i]
-	at := c.Engine.Now() + c.opts.DetectionDelay
-	for _, nb := range neighbors {
-		peer := int(nb.ID)
-		// The notification is a control event, like the Kill that arms
-		// it: it fires at a fence on the control engine, ordered against
-		// other control events (a stream injection on the same instant)
-		// by scheduling order, and before any node event of that instant,
-		// on both engines alike.
-		c.Engine.Schedule(at, func() {
-			// Skip if the dead node already restarted: the peer's broken
-			// connection belonged to the old life, and the new life holds
-			// (or is negotiating) a distinct one.
-			if c.alive[peer] && c.gen[i] == genAtKill {
-				c.nodes[peer].PeerDown(core.NodeID(i))
-			}
-		})
-	}
-}
-
-// KillFraction kills ceil(frac*n) uniformly random live nodes and returns
-// their indexes.
-func (c *Cluster) KillFraction(frac float64) []int {
-	var live []int
-	for i, a := range c.alive {
-		if a {
-			live = append(live, i)
-		}
-	}
-	k := int(frac*float64(len(live)) + 0.5)
-	c.rng.Shuffle(len(live), func(a, b int) { live[a], live[b] = live[b], live[a] })
-	killed := live[:k]
-	for _, i := range killed {
-		c.Kill(i)
-	}
-	return killed
-}
-
-// AddNode grows the system at runtime: a fresh node is created, started,
-// and joins the overlay through `contact` using the join protocol
-// (Section 2.2.1). It returns the new node's index.
-func (c *Cluster) AddNode(contact int) int {
-	i := len(c.nodes)
-	c.siteOf = append(c.siteOf, i%c.Matrix.Sites())
-	c.shardOf = append(c.shardOf, c.cachedSiteShard[i%c.Matrix.Sites()])
-	c.keySeq = append(c.keySeq, 0)
-	c.alive = append(c.alive, true)
-	c.joined = append(c.joined, c.Engine.Now())
-	c.firstJoin = append(c.firstJoin, c.Engine.Now())
-	c.incar = append(c.incar, 0)
-	c.gen = append(c.gen, 0)
-	c.detachedAt = append(c.detachedAt, -1)
-	// Extend existing delivery rows so the newcomer can be accounted for
-	// messages injected after it joined (rows injected before stay -1).
-	for m := range c.recv {
-		c.recv[m] = append(c.recv[m], -1)
-	}
-	c.nodes = append(c.nodes, nil)
-	n := c.buildNode(i)
-	c.nodes[i] = n
-	n.SetLandmarks(c.landmarkEntries())
-	n.Start()
-	n.Join(core.Entry{ID: core.NodeID(contact), Inc: c.incar[contact]})
-	return i
-}
-
-// Restart revives a dead node under the same ID with a bumped incarnation:
-// a brand-new protocol instance (empty view, empty overlay, fresh delivery
-// dedup state) that re-measures landmarks and rejoins through `contact`.
-// Timers and in-flight sends belonging to the dead past life are inert.
-func (c *Cluster) Restart(i, contact int) {
-	if c.alive[i] {
-		panic("netsim: Restart of a live node")
-	}
-	c.incar[i]++
-	c.gen[i]++
-	c.restarts++
-	c.alive[i] = true
-	c.joined[i] = c.Engine.Now()
-	// Time-to-reattach after a restart is a tree-repair latency.
-	c.detachedAt[i] = c.Engine.Now()
-	n := c.buildNode(i)
-	c.nodes[i] = n
-	n.SetLandmarks(c.landmarkEntries())
-	n.Start()
-	if contact >= 0 && contact < len(c.nodes) && c.alive[contact] {
-		n.Join(core.Entry{ID: core.NodeID(contact), Inc: c.incar[contact]})
-	}
-}
-
-// Restarts returns how many node restarts the cluster has performed.
-func (c *Cluster) Restarts() int { return c.restarts }
-
-// Incarnation returns node i's current incarnation number.
-func (c *Cluster) Incarnation(i int) uint32 { return c.incar[i] }
-
-// Leave makes node i depart gracefully (Drop notifications to neighbors)
-// and marks it dead.
-func (c *Cluster) Leave(i int) {
-	if !c.alive[i] {
-		return
-	}
-	c.nodes[i].Leave()
-	c.alive[i] = false
-	c.detachedAt[i] = -1
-}
-
-// Inject starts a multicast at node `from` and tracks its deliveries.
-func (c *Cluster) Inject(from int, payload []byte) core.MessageID {
-	idx := len(c.injectTimes)
-	c.injectTimes = append(c.injectTimes, c.Engine.Now())
-	c.sources = append(c.sources, from)
-	row := make([]time.Duration, len(c.nodes))
-	for i := range row {
-		row[i] = -1
-	}
-	c.recv = append(c.recv, row)
-	// Register before Multicast: the source's own delivery is synchronous.
-	id := c.nodes[from].NextMessageID()
-	c.msgIndex[id] = idx
-	c.msgIDs = append(c.msgIDs, id)
-	if got := c.nodes[from].Multicast(payload); got != id {
-		panic("netsim: message ID prediction mismatch")
-	}
-	return id
-}
-
-// InjectStream schedules `count` multicasts at the given rate from random
-// live source nodes, starting one interval from now.
-func (c *Cluster) InjectStream(count int, perSecond float64, payload []byte) {
-	interval := time.Duration(float64(time.Second) / perSecond)
-	for k := 1; k <= count; k++ {
-		c.Engine.After(time.Duration(k)*interval, func() {
-			src := c.randomLive()
-			if src >= 0 {
-				c.Inject(src, payload)
-			}
-		})
-	}
-}
-
-func (c *Cluster) randomLive() int {
-	n := len(c.nodes)
-	for tries := 0; tries < 4*n; tries++ {
-		i := c.rng.Intn(n)
-		if c.alive[i] {
-			return i
-		}
-	}
-	return -1
-}
-
-func (c *Cluster) recordDelivery(id core.MessageID, node int, now time.Duration) {
-	idx, ok := c.msgIndex[id]
-	if !ok {
-		return
-	}
-	if c.recv[idx][node] < 0 {
-		c.recv[idx][node] = now
-	} else {
-		// Second delivery of the same message at the same slot: only
-		// possible across a restart, when the new life's dedup state is
-		// empty. An application-visible duplicate.
-		c.redelivered.Add(1)
-	}
-}
-
-// Redelivered counts application-level duplicate deliveries — the same
-// tracked message delivered twice at one slot, which only happens when a
-// restarted life re-receives a message its past life already delivered.
-func (c *Cluster) Redelivered() int { return int(c.redelivered.Load()) }
-
-// TreeRepairs returns the distribution of tree-repair latencies: the time
-// from losing a parent (or restarting) to re-attaching to the tree.
-func (c *Cluster) TreeRepairs() *metrics.DelayRecorder { return c.repairs }
-
-// RecoveryViolations counts (message, node) pairs where a live node never
-// received a message injected after the slot FIRST entered the system —
-// including messages its dead past lives missed while down. Where
-// AtomicityViolations judges only stably-up nodes (a restarted life is
-// excused from its predecessor's gaps), this metric demands full catch-up:
-// it reaches zero only when the store-sync protocol has backfilled every
-// restarted node. Messages injected less than `grace` ago are not judged.
-func (c *Cluster) RecoveryViolations(grace time.Duration) int {
-	now := c.Engine.Now()
-	v := 0
-	for m := range c.recv {
-		if c.injectTimes[m]+grace > now {
-			continue
-		}
-		for i := range c.nodes {
-			if !c.alive[i] || c.firstJoin[i] > c.injectTimes[m] {
-				continue
-			}
-			if c.recv[m][i] < 0 {
-				v++
-			}
-		}
-	}
-	return v
-}
-
-// AtomicityViolations counts (message, node) pairs where a node that was
-// stably up for the message's whole lifetime — alive now, and in its
-// current life since before the injection — never received it. Only
-// messages injected at least `grace` before now are judged, so messages
-// still propagating are not counted.
-func (c *Cluster) AtomicityViolations(grace time.Duration) int {
-	now := c.Engine.Now()
-	v := 0
-	for m := range c.recv {
-		if c.injectTimes[m]+grace > now {
-			continue
-		}
-		for i := range c.nodes {
-			if !c.alive[i] || c.joined[i] > c.injectTimes[m] {
-				continue
-			}
-			if c.recv[m][i] < 0 {
-				v++
-			}
-		}
-	}
-	return v
-}
-
-// AtomicityOffenders returns the message IDs that AtomicityViolations
-// would count against — messages old enough to judge that at least one
-// stably-up node never received — in injection order. When dissemination
-// tracing is on (Options.Spans), stitching a trace for one of these shows
-// exactly where its dissemination tree stopped short.
-func (c *Cluster) AtomicityOffenders(grace time.Duration) []core.MessageID {
-	now := c.Engine.Now()
-	var out []core.MessageID
-	for m := range c.recv {
-		if c.injectTimes[m]+grace > now {
-			continue
-		}
-		for i := range c.nodes {
-			if !c.alive[i] || c.joined[i] > c.injectTimes[m] {
-				continue
-			}
-			if c.recv[m][i] < 0 {
-				out = append(out, c.msgIDs[m])
-				break
-			}
-		}
-	}
-	return out
-}
-
-// StaleLinks counts overlay links at live nodes whose neighbor entry holds
-// an incarnation older than the peer's current one — a link formed with a
-// dead past life that was never torn down. The churn acceptance criterion
-// is that this settles to zero.
-func (c *Cluster) StaleLinks() int {
-	stale := 0
-	for i, n := range c.nodes {
-		if !c.alive[i] {
-			continue
-		}
-		for _, nb := range n.Neighbors() {
-			j := int(nb.ID)
-			if j >= 0 && j < len(c.incar) && c.alive[j] && nb.Inc < c.incar[j] {
-				stale++
-			}
-		}
-	}
-	return stale
-}
-
-// Delays builds the delivery-delay distribution over every (message, live
-// node) pair, the quantity plotted in Figures 3 and 4. Dead nodes are
-// excluded; nodes that never received a message are recorded as misses.
-func (c *Cluster) Delays() *metrics.DelayRecorder {
-	rec := metrics.NewDelayRecorder()
-	for m := range c.recv {
-		for i := range c.nodes {
-			if !c.alive[i] || c.joined[i] > c.injectTimes[m] {
-				// Dead nodes and nodes that joined after the injection
-				// are not expected receivers.
-				continue
-			}
-			at := c.recv[m][i]
-			if at < 0 {
-				rec.AddMiss()
-				continue
-			}
-			rec.Add(at - c.injectTimes[m])
-		}
-	}
-	return rec
-}
-
-// ReceiveCounts returns, for each message, how many live nodes received it
-// (used by the reliability censuses).
-func (c *Cluster) ReceiveCounts() []int {
-	out := make([]int, len(c.recv))
-	for m := range c.recv {
-		for i := range c.nodes {
-			if c.alive[i] && c.recv[m][i] >= 0 {
-				out[m]++
-			}
-		}
-	}
-	return out
-}
-
-// Messages returns the number of injected (tracked) messages.
-func (c *Cluster) Messages() int { return len(c.injectTimes) }
-
-// DegreeHistogram returns the total-degree distribution over live nodes.
-func (c *Cluster) DegreeHistogram() *metrics.IntHistogram {
-	h := metrics.NewIntHistogram()
-	for i, n := range c.nodes {
-		if c.alive[i] {
-			h.Add(n.Degree())
-		}
-	}
-	return h
-}
-
-// RandDegreeHistogram returns the random-degree distribution (live nodes).
-func (c *Cluster) RandDegreeHistogram() *metrics.IntHistogram {
-	h := metrics.NewIntHistogram()
-	for i, n := range c.nodes {
-		if c.alive[i] {
-			h.Add(n.RandDegree())
-		}
-	}
-	return h
-}
-
-// NearDegreeHistogram returns the nearby-degree distribution (live nodes).
-func (c *Cluster) NearDegreeHistogram() *metrics.IntHistogram {
-	h := metrics.NewIntHistogram()
-	for i, n := range c.nodes {
-		if c.alive[i] {
-			h.Add(n.NearDegree())
-		}
-	}
-	return h
-}
-
-// OverlayGraph snapshots the overlay as an undirected graph (an edge per
-// link acknowledged by at least one endpoint).
-func (c *Cluster) OverlayGraph() *graph.Undirected {
-	g := graph.NewUndirected(len(c.nodes))
-	for i, n := range c.nodes {
-		for _, nb := range n.Neighbors() {
-			if int(nb.ID) > i {
-				g.AddEdge(i, int(nb.ID))
-			}
-		}
-	}
-	return g
-}
-
-// LargestComponentRatio returns q = |largest component| / |live nodes|
-// over the overlay restricted to live nodes (Figure 6's metric).
-func (c *Cluster) LargestComponentRatio() float64 {
-	largest, alive := c.OverlayGraph().LargestComponent(c.alive)
-	if alive == 0 {
-		return 0
-	}
-	return float64(largest) / float64(alive)
-}
-
-// AvgOverlayLinkLatency returns the mean one-way latency over distinct
-// overlay links among live nodes (Figure 5b, "overlay" curve).
-func (c *Cluster) AvgOverlayLinkLatency() time.Duration {
-	var sum time.Duration
-	count := 0
-	for i, n := range c.nodes {
-		if !c.alive[i] {
-			continue
-		}
-		for _, nb := range n.Neighbors() {
-			j := int(nb.ID)
-			if j > i && c.alive[j] {
-				sum += c.OneWay(i, j)
-				count++
-			}
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / time.Duration(count)
-}
-
-// AvgTreeLinkLatency returns the mean one-way latency over tree links
-// (parent edges) among live nodes (Figure 5b, "tree" curve).
-func (c *Cluster) AvgTreeLinkLatency() time.Duration {
-	var sum time.Duration
-	count := 0
-	for i, n := range c.nodes {
-		if !c.alive[i] {
-			continue
-		}
-		p := n.Parent()
-		if p == core.None || !c.alive[int(p)] {
-			continue
-		}
-		sum += c.OneWay(i, int(p))
-		count++
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / time.Duration(count)
-}
-
-// TreeSpans reports whether parent pointers connect every live node to the
-// root (i.e. the tree covers the system).
-func (c *Cluster) TreeSpans(root int) bool {
-	g := graph.NewUndirected(len(c.nodes))
-	for i, n := range c.nodes {
-		if !c.alive[i] {
-			continue
-		}
-		if p := n.Parent(); p != core.None && c.alive[int(p)] {
-			g.AddEdge(i, int(p))
-		}
-	}
-	uf := graph.NewUnionFind(len(c.nodes))
-	for i, n := range c.nodes {
-		if !c.alive[i] {
-			continue
-		}
-		if p := n.Parent(); p != core.None && c.alive[int(p)] {
-			uf.Union(i, int(p))
-		}
-	}
-	for i := range c.nodes {
-		if c.alive[i] && !uf.Connected(i, root) {
-			return false
-		}
-	}
-	return true
-}
-
-// SumCounters aggregates all nodes' protocol counters.
-func (c *Cluster) SumCounters() core.Counters {
-	var t core.Counters
-	for _, n := range c.nodes {
-		s := n.Stats()
-		t.Injected += s.Injected
-		t.Delivered += s.Delivered
-		t.PayloadsRecv += s.PayloadsRecv
-		t.Duplicates += s.Duplicates
-		t.TreeForwards += s.TreeForwards
-		t.GossipsSent += s.GossipsSent
-		t.GossipsRecv += s.GossipsRecv
-		t.IDsAnnounced += s.IDsAnnounced
-		t.PullsSent += s.PullsSent
-		t.PullsServed += s.PullsServed
-		t.PullRetries += s.PullRetries
-		t.Reannounced += s.Reannounced
-		t.SyncRequestsSent += s.SyncRequestsSent
-		t.SyncRequestsRecv += s.SyncRequestsRecv
-		t.SyncRepliesSent += s.SyncRepliesSent
-		t.SyncRepliesRecv += s.SyncRepliesRecv
-		t.SyncItemsSent += s.SyncItemsSent
-		t.SyncItemsRecv += s.SyncItemsRecv
-		t.SyncBytesSent += s.SyncBytesSent
-		t.PullMissesSent += s.PullMissesSent
-		t.PullMissesRecv += s.PullMissesRecv
-		t.AddsSent += s.AddsSent
-		t.AddsAccepted += s.AddsAccepted
-		t.AddsRejected += s.AddsRejected
-		t.LinkAdds += s.LinkAdds
-		t.LinkDrops += s.LinkDrops
-		t.Rebalances += s.Rebalances
-		t.PingsSent += s.PingsSent
-		t.TreeAdverts += s.TreeAdverts
-		t.RootTakeovers += s.RootTakeovers
-		t.PeerDowns += s.PeerDowns
-		t.StaleIncRejects += s.StaleIncRejects
-		t.ObitsRecorded += s.ObitsRecorded
-		t.ObitsHonored += s.ObitsHonored
-		t.StaleLinksDropped += s.StaleLinksDropped
-		t.RejoinsObserved += s.RejoinsObserved
-		t.SelfRefutes += s.SelfRefutes
-		t.SymbolsSent += s.SymbolsSent
-		t.SymbolsRecv += s.SymbolsRecv
-		t.SymbolsServed += s.SymbolsServed
-		t.SymbolDups += s.SymbolDups
-		t.SymbolsRejected += s.SymbolsRejected
-		t.SymbolPullsSent += s.SymbolPullsSent
-		t.FECDecodes += s.FECDecodes
-		t.FECDecodeFailures += s.FECDecodeFailures
-	}
-	return t
 }
 
 // env adapts the cluster to core.Env for one life of one node. gen pins
