@@ -121,9 +121,9 @@ type (
 	// ChurnKind enumerates churn event types.
 	ChurnKind = churn.Kind
 	// ChurnOptions binds a ChurnPlan to an in-process cluster.
-	ChurnOptions = live.ChurnOptions
+	ChurnOptions = churn.Options
 	// ChurnStats counts what a churn run actually did.
-	ChurnStats = live.ChurnStats
+	ChurnStats = churn.Stats
 
 	// Registry is a lock-cheap metrics registry (counters, gauges, latency
 	// histograms) with Prometheus text exposition; every live Node carries

@@ -4,7 +4,9 @@
 // layer's FaultPlan style) and substrate-agnostic — the same schedule
 // drives the discrete-event simulator (internal/netsim) in virtual time
 // and the live runtime (internal/live) in wall-clock time, so churn
-// experiments are reproducible across both.
+// experiments are reproducible across both. A Runner executes the events:
+// it holds the whole churn policy, and each substrate only supplies the
+// clock that calls Runner.Step.
 package churn
 
 import (

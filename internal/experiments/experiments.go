@@ -342,7 +342,7 @@ func ChurnSweep(sc Scale, ratesPerMin []float64) *Report {
 			CrashPerMin:   rate * 0.25,
 			RestartPerMin: rate * 0.35,
 		}
-		st := c.StartChurn(netsim.ChurnOptions{
+		st := c.StartChurn(churn.Options{
 			Plan:      plan,
 			Protected: protected,
 			MinAlive:  sc.Nodes / 2,

@@ -38,7 +38,7 @@ func TestLiveRestartRejoinsWithBumpedIncarnation(t *testing.T) {
 	victim := 7
 	c.Crash(victim)
 	time.Sleep(2 * time.Second) // let neighbors detect and quarantine
-	if !c.Restart(victim) {
+	if !c.Restart(victim, 0) {
 		t.Fatalf("Restart(%d) refused", victim)
 	}
 	if got := c.Incarnation(victim); got != 1 {
@@ -134,7 +134,7 @@ func TestLiveChurnSoak(t *testing.T) {
 		CrashPerMin:   9,
 		RestartPerMin: 9,
 	}
-	st := c.RunChurn(ChurnOptions{Plan: plan, Protected: protected, MinAlive: 10, MaxNodes: 24})
+	st := c.RunChurn(churn.Options{Plan: plan, Protected: protected, MinAlive: 10, MaxNodes: 24})
 	close(stop)
 	t.Logf("live churn: %+v; %d slots, %d running, %d restarts", st, c.Size(), c.AliveCount(), c.Restarts())
 	// The event/skip pattern is deterministic for a given plan seed: the

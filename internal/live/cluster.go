@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -209,13 +208,15 @@ func (c *Cluster) Restarts() int {
 	return c.restarts
 }
 
-// AddNode grows the group by one node, joining through a running contact.
-// It returns the new slot index, or -1 if no contact is running.
-func (c *Cluster) AddNode() int {
+// Alive reports whether slot i's node is running.
+func (c *Cluster) Alive(i int) bool { return !c.Node(i).Stopped() }
+
+// AddNode grows the group by one node, joining through running slot
+// contact. It returns the new slot index, or -1 if contact is not running.
+func (c *Cluster) AddNode(contact int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	contact := c.lockedPickRunning(0, nil)
-	if contact < 0 {
+	if c.nodes[contact].Stopped() {
 		return -1
 	}
 	i := len(c.nodes)
@@ -244,16 +245,12 @@ func (c *Cluster) Leave(i int) {
 
 // Restart revives a stopped slot under a bumped incarnation: a fresh node
 // owns the slot's address again, re-measures landmarks, and rejoins
-// through a running contact. It reports whether a restart happened (the
-// slot must be stopped and a contact must exist).
-func (c *Cluster) Restart(i int) bool {
+// through running slot contact. It reports whether a restart happened
+// (slot i must be stopped and contact running).
+func (c *Cluster) Restart(i, contact int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.nodes[i].Stopped() {
-		return false
-	}
-	contact := c.lockedPickRunning(0, nil)
-	if contact < 0 {
+	if !c.nodes[i].Stopped() || c.nodes[contact].Stopped() {
 		return false
 	}
 	c.incar[i]++
@@ -265,122 +262,23 @@ func (c *Cluster) Restart(i int) bool {
 	return true
 }
 
-// lockedPickRunning returns a running slot with index >= minIdx (using rng
-// when given, else the first), or -1. Caller holds c.mu.
-func (c *Cluster) lockedPickRunning(minIdx int, rng *rand.Rand) int {
-	var cand []int
-	for i := minIdx; i < len(c.nodes); i++ {
-		if !c.nodes[i].Stopped() {
-			cand = append(cand, i)
-		}
-	}
-	if len(cand) == 0 {
-		return -1
-	}
-	if rng == nil {
-		return cand[0]
-	}
-	return cand[rng.Intn(len(cand))]
-}
-
-// lockedPickStopped is lockedPickRunning's dual for dead slots.
-func (c *Cluster) lockedPickStopped(minIdx int, rng *rand.Rand) int {
-	var cand []int
-	for i := minIdx; i < len(c.nodes); i++ {
-		if c.nodes[i].Stopped() {
-			cand = append(cand, i)
-		}
-	}
-	if len(cand) == 0 {
-		return -1
-	}
-	return cand[rng.Intn(len(cand))]
-}
-
-// ChurnOptions binds a churn plan to a live cluster, mirroring the
-// simulator's orchestrator.
-type ChurnOptions struct {
-	// Plan is the seeded Poisson event schedule, executed in wall time.
-	Plan churn.Plan
-	// Protected marks the first Protected slots churn-ineligible.
-	Protected int
-	// MinAlive skips leave/crash events that would drop the running
-	// population below this floor (0 = no floor beyond one node).
-	MinAlive int
-	// MaxNodes skips join events at this many slots (0 = unbounded).
-	MaxNodes int
-}
-
-// ChurnStats counts what RunChurn actually did.
-type ChurnStats struct {
-	Joins, Leaves, Crashes, Restarts, Skipped int
-}
-
-// Events returns the number of executed (non-skipped) events.
-func (s ChurnStats) Events() int { return s.Joins + s.Leaves + s.Crashes + s.Restarts }
-
 // RunChurn executes the plan against the cluster in wall-clock time,
-// blocking until the horizon passes. Target choices come from a stream
-// derived from the plan seed; timing is wall-clock and therefore only the
-// event order, not the exact interleaving with protocol traffic, is
-// reproducible.
-func (c *Cluster) RunChurn(opts ChurnOptions) ChurnStats {
-	var st ChurnStats
-	rng := rand.New(rand.NewSource(opts.Plan.Seed ^ 0x00c0ffee))
+// blocking until the horizon passes; a churn.Runner picks each event's
+// target. Timing is wall-clock, so only the event order, not the exact
+// interleaving with protocol traffic, is reproducible.
+func (c *Cluster) RunChurn(opts churn.Options) churn.Stats {
+	r := churn.NewRunner(c, opts)
 	start := time.Now()
 	for _, ev := range opts.Plan.Schedule() {
 		if d := ev.At - time.Since(start); d > 0 {
 			time.Sleep(d)
 		}
-		c.churnStep(ev.Kind, opts, rng, &st)
+		r.Step(ev.Kind)
 	}
 	if d := opts.Plan.Duration - time.Since(start); d > 0 {
 		time.Sleep(d)
 	}
-	return st
-}
-
-func (c *Cluster) churnStep(k churn.Kind, opts ChurnOptions, rng *rand.Rand, st *ChurnStats) {
-	minAlive := opts.MinAlive
-	if minAlive < 1 {
-		minAlive = 1
-	}
-	switch k {
-	case churn.Join:
-		if opts.MaxNodes > 0 && c.Size() >= opts.MaxNodes {
-			st.Skipped++
-			return
-		}
-		if c.AddNode() < 0 {
-			st.Skipped++
-			return
-		}
-		st.Joins++
-	case churn.Leave, churn.Crash:
-		c.mu.Lock()
-		i := c.lockedPickRunning(opts.Protected, rng)
-		c.mu.Unlock()
-		if i < 0 || c.AliveCount() <= minAlive {
-			st.Skipped++
-			return
-		}
-		if k == churn.Leave {
-			c.Leave(i)
-			st.Leaves++
-		} else {
-			c.Crash(i)
-			st.Crashes++
-		}
-	case churn.Restart:
-		c.mu.Lock()
-		i := c.lockedPickStopped(opts.Protected, rng)
-		c.mu.Unlock()
-		if i < 0 || !c.Restart(i) {
-			st.Skipped++
-			return
-		}
-		st.Restarts++
-	}
+	return r.Stats
 }
 
 // AwaitDegree blocks until every running node has at least min overlay

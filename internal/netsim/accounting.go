@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"time"
 
 	"gocast/internal/core"
@@ -85,21 +86,13 @@ func (c *Cluster) TreeRepairs() *metrics.DelayRecorder { return c.repairs }
 // it reaches zero only when the store-sync protocol has backfilled every
 // restarted node. Messages injected less than `grace` ago are not judged.
 func (c *Cluster) RecoveryViolations(grace time.Duration) int {
-	now := c.Engine.Now()
 	v := 0
-	for m := range c.recv {
-		if c.injectTimes[m]+grace > now {
-			continue
+	c.expected(c.Engine.Now()-grace, c.firstJoin, func(m, i int) bool {
+		if c.recv[m][i] < 0 {
+			v++
 		}
-		for i := range c.nodes {
-			if !c.alive[i] || c.firstJoin[i] > c.injectTimes[m] {
-				continue
-			}
-			if c.recv[m][i] < 0 {
-				v++
-			}
-		}
-	}
+		return true
+	})
 	return v
 }
 
@@ -109,21 +102,13 @@ func (c *Cluster) RecoveryViolations(grace time.Duration) int {
 // messages injected at least `grace` before now are judged, so messages
 // still propagating are not counted.
 func (c *Cluster) AtomicityViolations(grace time.Duration) int {
-	now := c.Engine.Now()
 	v := 0
-	for m := range c.recv {
-		if c.injectTimes[m]+grace > now {
-			continue
+	c.expected(c.Engine.Now()-grace, c.joined, func(m, i int) bool {
+		if c.recv[m][i] < 0 {
+			v++
 		}
-		for i := range c.nodes {
-			if !c.alive[i] || c.joined[i] > c.injectTimes[m] {
-				continue
-			}
-			if c.recv[m][i] < 0 {
-				v++
-			}
-		}
-	}
+		return true
+	})
 	return v
 }
 
@@ -133,23 +118,33 @@ func (c *Cluster) AtomicityViolations(grace time.Duration) int {
 // tracing is on (Options.Spans), stitching a trace for one of these shows
 // exactly where its dissemination tree stopped short.
 func (c *Cluster) AtomicityOffenders(grace time.Duration) []core.MessageID {
-	now := c.Engine.Now()
 	var out []core.MessageID
-	for m := range c.recv {
-		if c.injectTimes[m]+grace > now {
+	c.expected(c.Engine.Now()-grace, c.joined, func(m, i int) bool {
+		if c.recv[m][i] < 0 {
+			out = append(out, c.msgIDs[m])
+			return false
+		}
+		return true
+	})
+	return out
+}
+
+// expected walks every (message, node) pair where node i was expected to
+// receive message m, in message then node order: m was injected no later
+// than cutoff, and i is alive and has been in the system, by its since
+// time (joined or firstJoin), since before the injection. visit returns
+// false to move on to the next message.
+func (c *Cluster) expected(cutoff time.Duration, since []time.Duration, visit func(m, i int) bool) {
+	for m, at := range c.injectTimes {
+		if at > cutoff {
 			continue
 		}
 		for i := range c.nodes {
-			if !c.alive[i] || c.joined[i] > c.injectTimes[m] {
-				continue
-			}
-			if c.recv[m][i] < 0 {
-				out = append(out, c.msgIDs[m])
+			if c.alive[i] && since[i] <= at && !visit(m, i) {
 				break
 			}
 		}
 	}
-	return out
 }
 
 // StaleLinks counts overlay links at live nodes whose neighbor entry holds
@@ -173,25 +168,19 @@ func (c *Cluster) StaleLinks() int {
 }
 
 // Delays builds the delivery-delay distribution over every (message, live
-// node) pair, the quantity plotted in Figures 3 and 4. Dead nodes are
-// excluded; nodes that never received a message are recorded as misses.
+// node) pair, the quantity plotted in Figures 3 and 4. Dead nodes and
+// nodes that joined after the injection are not expected receivers;
+// expected receivers that never got a message are recorded as misses.
 func (c *Cluster) Delays() *metrics.DelayRecorder {
 	rec := metrics.NewDelayRecorder()
-	for m := range c.recv {
-		for i := range c.nodes {
-			if !c.alive[i] || c.joined[i] > c.injectTimes[m] {
-				// Dead nodes and nodes that joined after the injection
-				// are not expected receivers.
-				continue
-			}
-			at := c.recv[m][i]
-			if at < 0 {
-				rec.AddMiss()
-				continue
-			}
+	c.expected(math.MaxInt64, c.joined, func(m, i int) bool {
+		if at := c.recv[m][i]; at < 0 {
+			rec.AddMiss()
+		} else {
 			rec.Add(at - c.injectTimes[m])
 		}
-	}
+		return true
+	})
 	return rec
 }
 
@@ -317,15 +306,6 @@ func (c *Cluster) AvgTreeLinkLatency() time.Duration {
 // TreeSpans reports whether parent pointers connect every live node to the
 // root (i.e. the tree covers the system).
 func (c *Cluster) TreeSpans(root int) bool {
-	g := graph.NewUndirected(len(c.nodes))
-	for i, n := range c.nodes {
-		if !c.alive[i] {
-			continue
-		}
-		if p := n.Parent(); p != core.None && c.alive[int(p)] {
-			g.AddEdge(i, int(p))
-		}
-	}
 	uf := graph.NewUnionFind(len(c.nodes))
 	for i, n := range c.nodes {
 		if !c.alive[i] {

@@ -1,127 +1,30 @@
 package netsim
 
 import (
-	"math/rand"
-
 	"gocast/internal/churn"
 	"gocast/internal/core"
 )
 
-// ChurnOptions binds a declarative churn plan to a simulated cluster.
-type ChurnOptions struct {
-	// Plan is the seeded Poisson event schedule.
-	Plan churn.Plan
-	// Protected marks the first Protected slots churn-ineligible: they are
-	// never chosen for leave, crash, or restart, so delivery atomicity can
-	// be asserted over a stable core while the rest of the system churns.
-	Protected int
-	// MinAlive skips leave/crash events that would drop the live
-	// population below this floor (0 = no floor beyond one node).
-	MinAlive int
-	// MaxNodes skips join events once the cluster holds this many slots
-	// (0 = unbounded growth).
-	MaxNodes int
-}
-
-// ChurnStats counts what the orchestrator actually did. Events can be
-// skipped when no eligible target exists (e.g. a restart with nothing
-// dead) or a floor/cap applies.
-type ChurnStats struct {
-	Joins, Leaves, Crashes, Restarts, Skipped int
-}
-
-// Events returns the number of executed (non-skipped) events.
-func (s ChurnStats) Events() int { return s.Joins + s.Leaves + s.Crashes + s.Restarts }
-
 // StartChurn schedules the plan's events on the simulation clock, relative
-// to now. Targets are chosen at fire time from the then-eligible nodes
-// using a stream derived from the plan seed, so a (plan, cluster-seed)
-// pair replays identically. The returned stats fill in as the simulation
-// advances.
-func (c *Cluster) StartChurn(opts ChurnOptions) *ChurnStats {
-	st := &ChurnStats{}
-	rng := rand.New(rand.NewSource(opts.Plan.Seed ^ 0x00c0ffee))
+// to now; a churn.Runner picks each event's target at fire time. The
+// returned stats fill in as the simulation advances.
+func (c *Cluster) StartChurn(opts churn.Options) *churn.Stats {
+	r := churn.NewRunner(churnTarget{c}, opts)
 	for _, ev := range opts.Plan.Schedule() {
 		kind := ev.Kind
-		c.Engine.After(ev.At, func() { c.churnStep(kind, opts, rng, st) })
+		c.Engine.After(ev.At, func() { r.Step(kind) })
 	}
-	return st
+	return &r.Stats
 }
 
-func (c *Cluster) churnStep(k churn.Kind, opts ChurnOptions, rng *rand.Rand, st *ChurnStats) {
-	minAlive := opts.MinAlive
-	if minAlive < 1 {
-		minAlive = 1
-	}
-	switch k {
-	case churn.Join:
-		if opts.MaxNodes > 0 && len(c.nodes) >= opts.MaxNodes {
-			st.Skipped++
-			return
-		}
-		contact := c.pickLive(rng, 0)
-		if contact < 0 {
-			st.Skipped++
-			return
-		}
-		c.AddNode(contact)
-		st.Joins++
-	case churn.Leave:
-		i := c.pickLive(rng, opts.Protected)
-		if i < 0 || c.AliveCount() <= minAlive {
-			st.Skipped++
-			return
-		}
-		c.Leave(i)
-		st.Leaves++
-	case churn.Crash:
-		i := c.pickLive(rng, opts.Protected)
-		if i < 0 || c.AliveCount() <= minAlive {
-			st.Skipped++
-			return
-		}
-		c.Kill(i)
-		st.Crashes++
-	case churn.Restart:
-		i := c.pickDead(rng, opts.Protected)
-		contact := c.pickLive(rng, 0)
-		if i < 0 || contact < 0 {
-			st.Skipped++
-			return
-		}
-		c.Restart(i, contact)
-		st.Restarts++
-	}
-}
+// churnTarget adapts a Cluster to churn.Cluster.
+type churnTarget struct{ *Cluster }
 
-// pickLive returns a uniformly random live slot with index >= minIdx, or
-// -1 when none qualifies.
-func (c *Cluster) pickLive(rng *rand.Rand, minIdx int) int {
-	var cand []int
-	for i := minIdx; i < len(c.nodes); i++ {
-		if c.alive[i] {
-			cand = append(cand, i)
-		}
-	}
-	if len(cand) == 0 {
-		return -1
-	}
-	return cand[rng.Intn(len(cand))]
-}
-
-// pickDead returns a uniformly random dead slot with index >= minIdx, or
-// -1 when none qualifies.
-func (c *Cluster) pickDead(rng *rand.Rand, minIdx int) int {
-	var cand []int
-	for i := minIdx; i < len(c.nodes); i++ {
-		if !c.alive[i] {
-			cand = append(cand, i)
-		}
-	}
-	if len(cand) == 0 {
-		return -1
-	}
-	return cand[rng.Intn(len(cand))]
+func (t churnTarget) Size() int   { return t.Nodes() }
+func (t churnTarget) Crash(i int) { t.Kill(i) }
+func (t churnTarget) Restart(i, contact int) bool {
+	t.Cluster.Restart(i, contact)
+	return true
 }
 
 // Kill fails node i immediately: its timers stop, queued and future

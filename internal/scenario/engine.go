@@ -292,8 +292,8 @@ func (e *engine) startChurn(i int, p *Phase) {
 		prot = 1 // never churn the root slot
 	}
 	n := s.TotalNodes()
-	e.sub.startChurn(churnSpec{
-		plan: churn.Plan{
+	e.sub.startChurn(churn.Options{
+		Plan: churn.Plan{
 			Seed:          SubSeed(e.seed, fmt.Sprintf("churn/%d", i)),
 			Duration:      time.Duration(p.Duration),
 			JoinPerMin:    p.Churn.JoinPerMin,
@@ -301,9 +301,9 @@ func (e *engine) startChurn(i int, p *Phase) {
 			CrashPerMin:   p.Churn.CrashPerMin,
 			RestartPerMin: p.Churn.RestartPerMin,
 		},
-		protected: prot,
-		minAlive:  n / 2,
-		maxNodes:  n + n/2,
+		Protected: prot,
+		MinAlive:  n / 2,
+		MaxNodes:  n + n/2,
 	})
 }
 

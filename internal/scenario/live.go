@@ -126,12 +126,8 @@ func (l *liveSub) after(d time.Duration, fn func()) {
 	l.timers = append(l.timers, t)
 }
 
-func (l *liveSub) nodeCount() int { return l.c.Size() }
-
-func (l *liveSub) alive(i int) bool {
-	n := l.c.Node(i)
-	return n != nil && !n.Stopped()
-}
+func (l *liveSub) nodeCount() int   { return l.c.Size() }
+func (l *liveSub) alive(i int) bool { return l.c.Alive(i) }
 
 func (l *liveSub) publish(i int, payload []byte) bool {
 	n := l.c.Node(i)
@@ -216,28 +212,24 @@ func (l *liveSub) setFaults(f *compiledFaults) {
 	l.ctl.AddPhase(p)
 }
 
-func (l *liveSub) startChurn(cs churnSpec) {
+func (l *liveSub) startChurn(opts churn.Options) {
 	l.mu.Lock()
 	l.churned = true
 	l.mu.Unlock()
 	// Compress the plan: same expected event count in scale× the time.
-	plan := churn.Plan{
-		Seed:          cs.plan.Seed,
-		Duration:      time.Duration(float64(cs.plan.Duration) * l.scale),
-		JoinPerMin:    cs.plan.JoinPerMin / l.scale,
-		LeavePerMin:   cs.plan.LeavePerMin / l.scale,
-		CrashPerMin:   cs.plan.CrashPerMin / l.scale,
-		RestartPerMin: cs.plan.RestartPerMin / l.scale,
+	p := opts.Plan
+	opts.Plan = churn.Plan{
+		Seed:          p.Seed,
+		Duration:      time.Duration(float64(p.Duration) * l.scale),
+		JoinPerMin:    p.JoinPerMin / l.scale,
+		LeavePerMin:   p.LeavePerMin / l.scale,
+		CrashPerMin:   p.CrashPerMin / l.scale,
+		RestartPerMin: p.RestartPerMin / l.scale,
 	}
 	l.churnRuns.Add(1)
 	go func() {
 		defer l.churnRuns.Done()
-		st := l.c.RunChurn(live.ChurnOptions{
-			Plan:      plan,
-			Protected: cs.protected,
-			MinAlive:  cs.minAlive,
-			MaxNodes:  cs.maxNodes,
-		})
+		st := l.c.RunChurn(opts)
 		l.mu.Lock()
 		l.churnged += int64(st.Events())
 		l.mu.Unlock()
@@ -258,7 +250,7 @@ func (l *liveSub) crash(i int) {
 }
 
 func (l *liveSub) restart(i int) {
-	l.c.Restart(i)
+	l.c.Restart(i, restartContact(i))
 }
 
 func (l *liveSub) treeNode(i int) (parent, root, degree int) {

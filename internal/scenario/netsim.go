@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"gocast/internal/churn"
 	"gocast/internal/core"
 	"gocast/internal/dtrace"
 	"gocast/internal/netsim"
@@ -18,7 +19,7 @@ type netsimSub struct {
 	spans *dtrace.Buffer
 	start time.Duration
 	pubs  int64
-	churn []*netsim.ChurnStats
+	churn []*churn.Stats
 }
 
 // netsimConfig is the protocol timing scenarios run under: the paper's
@@ -110,14 +111,8 @@ func (n *netsimSub) setFaults(f *compiledFaults) {
 	n.c.SetFaults(spec)
 }
 
-func (n *netsimSub) startChurn(cs churnSpec) {
-	st := n.c.StartChurn(netsim.ChurnOptions{
-		Plan:      cs.plan,
-		Protected: cs.protected,
-		MinAlive:  cs.minAlive,
-		MaxNodes:  cs.maxNodes,
-	})
-	n.churn = append(n.churn, st)
+func (n *netsimSub) startChurn(opts churn.Options) {
+	n.churn = append(n.churn, n.c.StartChurn(opts))
 }
 
 func (n *netsimSub) churnEvents() int64 {
@@ -131,14 +126,9 @@ func (n *netsimSub) churnEvents() int64 {
 func (n *netsimSub) crash(i int) { n.c.Kill(i) }
 
 func (n *netsimSub) restart(i int) {
-	contact := 0
-	if i == 0 {
-		contact = 1
+	if contact := restartContact(i); n.c.Alive(contact) {
+		n.c.Restart(i, contact)
 	}
-	if !n.c.Alive(contact) {
-		return
-	}
-	n.c.Restart(i, contact)
 }
 
 func (n *netsimSub) treeNode(i int) (parent, root, degree int) {

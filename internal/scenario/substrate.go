@@ -30,12 +30,14 @@ func (f *compiledFaults) empty() bool {
 	return f == nil || (len(f.partition) == 0 && f.loss == 0 && len(f.links) == 0)
 }
 
-// churnSpec carries one phase's churn burst to a substrate.
-type churnSpec struct {
-	plan      churn.Plan
-	protected int
-	minAlive  int
-	maxNodes  int
+// restartContact is the slot a scenario restart of slot i rejoins
+// through, on either substrate: the root slot, or slot 1 when the root
+// slot itself restarts.
+func restartContact(i int) int {
+	if i == 0 {
+		return 1
+	}
+	return 0
 }
 
 // substrate is the execution backend a scenario runs on. Durations passed
@@ -61,7 +63,7 @@ type substrate interface {
 	setFaults(f *compiledFaults)
 	// startChurn launches a churn burst; events execute on the substrate
 	// clock and stop at the plan horizon.
-	startChurn(cs churnSpec)
+	startChurn(opts churn.Options)
 	// churnEvents returns cumulative executed churn events.
 	churnEvents() int64
 	crash(i int)
