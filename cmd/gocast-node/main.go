@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -116,6 +117,21 @@ func newApp(args []string, w io.Writer) (*app, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	// Reject what the conversions below would silently wrap: an -id of
+	// 4294967301 would become node 5, -1 would become None.
+	if err := checkNodeID(int64(*id)); err != nil {
+		return nil, fmt.Errorf("-id: %v", err)
+	}
+	if *inc > math.MaxUint32 {
+		return nil, fmt.Errorf("-incarnation: %d out of range [0, %d]", *inc, uint32(math.MaxUint32))
+	}
+	var contact gocast.Entry
+	if *join != "" {
+		var err error
+		if contact, err = parseContact(*join); err != nil {
+			return nil, err
+		}
+	}
 	cfg := gocast.DefaultConfig()
 	cfg.StoreMaxMessages = *storeMaxMsgs
 	cfg.StoreMaxBytes = *storeMaxBytes
@@ -188,11 +204,6 @@ func newApp(args []string, w io.Writer) (*app, error) {
 		a.node.SetLandmarks([]gocast.Entry{a.node.Entry()})
 		fmt.Fprintln(w, "acting as initial tree root")
 	case *join != "":
-		contact, err := parseContact(*join)
-		if err != nil {
-			a.close()
-			return nil, err
-		}
 		a.node.Join(contact)
 		fmt.Fprintf(w, "joining via node %d at %s\n", contact.ID, contact.Addr)
 	default:
@@ -272,9 +283,21 @@ func parseContact(s string) (gocast.Entry, error) {
 	if at < 0 {
 		return gocast.Entry{}, fmt.Errorf("contact %q: want id@host:port", s)
 	}
-	id, err := strconv.Atoi(s[:at])
+	id, err := strconv.ParseInt(s[:at], 10, 64)
+	if err == nil {
+		err = checkNodeID(id)
+	}
 	if err != nil {
 		return gocast.Entry{}, fmt.Errorf("contact %q: bad id: %v", s, err)
 	}
 	return gocast.Entry{ID: gocast.NodeID(id), Addr: s[at+1:]}, nil
+}
+
+// checkNodeID accepts the IDs a gocast.NodeID holds as a node: 0 through
+// MaxInt32 (negative IDs are reserved; -1 is None).
+func checkNodeID(id int64) error {
+	if id < 0 || id > math.MaxInt32 {
+		return fmt.Errorf("%d out of range [0, %d]", id, math.MaxInt32)
+	}
+	return nil
 }

@@ -20,7 +20,7 @@ func TestParseContact(t *testing.T) {
 }
 
 func TestParseContactErrors(t *testing.T) {
-	for _, in := range []string{"", "noat", "x@host:1", "@host:1"} {
+	for _, in := range []string{"", "noat", "x@host:1", "@host:1", "4294967301@host:1", "-1@host:1", "2147483648@host:1"} {
 		if _, err := parseContact(in); err == nil {
 			t.Errorf("parseContact(%q) accepted malformed input", in)
 		}
@@ -30,6 +30,32 @@ func TestParseContactErrors(t *testing.T) {
 func TestRunRejectsMissingMode(t *testing.T) {
 	if err := run([]string{"-listen", "127.0.0.1:0"}); err == nil {
 		t.Fatalf("run without -root or -join must fail")
+	}
+}
+
+// TestRunRejectsOutOfRangeIDs pins that IDs and incarnations which would
+// wrap in their int32/uint32 conversions are refused before anything
+// starts, with an error naming the flag.
+func TestRunRejectsOutOfRangeIDs(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-id", "4294967301", "-root"}, "-id: 4294967301 out of range"},
+		{[]string{"-id", "2147483648", "-root"}, "-id: 2147483648 out of range"},
+		{[]string{"-id", "-1", "-root"}, "-id: -1 out of range"},
+		{[]string{"-id", "1", "-incarnation", "4294967296", "-root"}, "-incarnation: 4294967296 out of range"},
+		{[]string{"-id", "1", "-join", "4294967301@127.0.0.1:1"}, `contact "4294967301@127.0.0.1:1": bad id: 4294967301 out of range`},
+		{[]string{"-id", "1", "-join", "-1@127.0.0.1:1"}, `contact "-1@127.0.0.1:1": bad id: -1 out of range`},
+	} {
+		err := run(append([]string{"-listen", "127.0.0.1:0"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", tc.args, err, tc.want)
+		}
+	}
+	// The largest values still fit and start a node.
+	if err := run([]string{"-listen", "127.0.0.1:0", "-id", "2147483647", "-incarnation", "4294967295", "-root"}); err != nil {
+		t.Errorf("run with the largest -id and -incarnation: %v", err)
 	}
 }
 

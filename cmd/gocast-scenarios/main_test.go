@@ -1,11 +1,53 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden report digest in testdata/")
+
+// goldenReports holds the SHA-256 of what `gocast-scenarios -scenario all
+// -json` prints at the committed seeds.
+var goldenReports = filepath.Join("testdata", "all-json.sha256")
+
+// TestScenarioReportsPinned pins the netsim scenario reports byte for
+// byte: a run is a pure function of (scenario, seed), so any change to
+// the bytes is a behaviour change somewhere under the scenarios (protocol,
+// simulator, fault injection, report rendering). A deliberate change
+// regenerates the digest with
+//
+//	go test ./cmd/gocast-scenarios -run TestScenarioReportsPinned -update
+//
+// The digest was recorded on linux/amd64. The full library runs in a few
+// seconds, so the test runs under -short too.
+func TestScenarioReportsPinned(t *testing.T) {
+	var b bytes.Buffer
+	if err := run([]string{"-scenario", "all", "-json"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b.Bytes())
+	got := hex.EncodeToString(sum[:])
+	if *update {
+		if err := os.WriteFile(goldenReports, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenReports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.TrimSpace(string(data)); got != want {
+		t.Fatalf("scenario reports changed: sha256 %s, golden %s (%d bytes of JSON); rerun with -update if the change is intended", got, want, b.Len())
+	}
+}
 
 func TestListPrintsLibrary(t *testing.T) {
 	var b strings.Builder

@@ -108,7 +108,7 @@ func (s *symState) inflight() (set store.SymbolSet) {
 // low-latency link for every source. A node with a single neighbor has no
 // second link to wait for.
 func (n *Node) pullShare(total int) int {
-	if len(n.neighborOrder) < 2 {
+	if n.neighbors.len() < 2 {
 		return total
 	}
 	return (2*total + 2) / 3
@@ -201,7 +201,7 @@ func (n *Node) multicastCoopcast(payload []byte) (MessageID, bool) {
 // with one advert and the degrees every summary carries (the receiver
 // records them).
 func (n *Node) advertiseNow(id MessageID, st *msgState) {
-	for _, y := range n.neighborOrder {
+	for _, y := range n.neighbors.ids {
 		ad, ok := n.symbolAdvertTo(id, st, n.slotBit(y))
 		if !ok {
 			continue
@@ -291,7 +291,7 @@ func (n *Node) handleSymbol(from NodeID, m *Symbol) {
 			return
 		}
 		age := m.Age
-		if nb := n.neighbors[from]; nb != nil {
+		if nb := n.neighbors.get(from); nb != nil {
 			age += n.linkLatency(nb)
 		}
 		st = n.getMsgState()

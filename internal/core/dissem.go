@@ -87,7 +87,7 @@ const invalidSlot = 0xFF
 // is not a current neighbor (OR-ing 0 into a mask is a no-op, matching
 // the old slices' irrelevant bookkeeping for non-neighbors).
 func (n *Node) slotBit(peer NodeID) uint64 {
-	nb := n.neighbors[peer]
+	nb := n.neighbors.get(peer)
 	if nb == nil || nb.slot == invalidSlot {
 		return 0
 	}
@@ -97,8 +97,8 @@ func (n *Node) slotBit(peer NodeID) uint64 {
 // allocSlot assigns a bitmask slot to a new neighbor: its parked slot
 // from a previous link if one is retired, else a free slot.
 func (n *Node) allocSlot(peer NodeID) uint8 {
-	if s, ok := n.retiredSlots[peer]; ok {
-		delete(n.retiredSlots, peer)
+	if s, ok := n.retiredSlots.get(peer); ok {
+		n.retiredSlots.del(peer)
 		return s
 	}
 	if n.slotUsed == ^uint64(0) {
@@ -120,19 +120,21 @@ func (n *Node) retireSlot(peer NodeID, slot uint8) {
 	if slot == invalidSlot {
 		return
 	}
-	n.retiredSlots[peer] = slot
+	n.retiredSlots.put(peer, slot)
 }
 
 // scrubRetiredSlots clears every retired slot's bits from the in-flight
 // messages and frees the slots. Needed only when all 64 slots are taken,
 // which bounded degree makes rare.
 func (n *Node) scrubRetiredSlots() {
-	if len(n.retiredSlots) == 0 {
+	if n.retiredSlots.len() == 0 {
 		return
 	}
 	var mask uint64
-	for _, s := range n.retiredSlots {
-		mask |= 1 << s
+	for _, s := range n.retiredSlots.slots {
+		if s.key != 0 {
+			mask |= 1 << s.val
+		}
 	}
 	for _, id := range n.recent {
 		if st := n.seen[pid(id)]; st != nil {
@@ -141,9 +143,7 @@ func (n *Node) scrubRetiredSlots() {
 		}
 	}
 	n.slotUsed &^= mask
-	for k := range n.retiredSlots {
-		delete(n.retiredSlots, k)
-	}
+	n.retiredSlots.clear()
 }
 
 // getMsgState takes a zeroed record from the free list (or allocates).
@@ -322,7 +322,7 @@ func (n *Node) receiveMulticast(from NodeID, m *Multicast, viaSync bool) {
 	// The age estimate accumulates hop by hop: the sender stamps its own
 	// estimate and the receiver adds the link's propagation delay.
 	age := m.Age
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.neighbors.get(from); nb != nil {
 		age += n.linkLatency(nb)
 	}
 	st := n.getMsgState()
@@ -380,18 +380,16 @@ func (n *Node) gossipTick() {
 
 // gossipRound sends the periodic summary to the next neighbor round-robin.
 func (n *Node) gossipRound() {
-	if len(n.neighborOrder) == 0 {
+	deg := n.neighbors.len()
+	if deg == 0 {
 		return
 	}
-	if n.gossipIdx >= len(n.neighborOrder) {
+	if n.gossipIdx >= deg {
 		n.gossipIdx = 0
 	}
-	y := n.neighborOrder[n.gossipIdx]
-	n.gossipIdx = (n.gossipIdx + 1) % len(n.neighborOrder)
-	nb := n.neighbors[y]
-	if nb == nil {
-		return
-	}
+	nb := n.neighbors.nbs[n.gossipIdx]
+	y := nb.entry.ID
+	n.gossipIdx = (n.gossipIdx + 1) % deg
 	g := n.newGossip()
 	var bit uint64
 	if nb.slot != invalidSlot {
@@ -490,7 +488,7 @@ func (n *Node) reannounceTo(peer NodeID) {
 // handleGossip ingests a summary from neighbor `from`.
 func (n *Node) handleGossip(from NodeID, g *Gossip) {
 	n.stats.GossipsRecv++
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.neighbors.get(from); nb != nil {
 		nb.deg = g.Degrees
 		nb.degKnown = true
 	}
@@ -510,7 +508,7 @@ func (n *Node) handleGossip(from NodeID, g *Gossip) {
 		n.learnEntry(e)
 	}
 	var linkLat time.Duration
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.neighbors.get(from); nb != nil {
 		linkLat = n.linkLatency(nb)
 	}
 	for i := range g.Syms {

@@ -29,7 +29,7 @@ func TestBitmaskMatchesSliceModel(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(99))
 	peers := []NodeID{2, 3, 4, 5, 6, 7, 8, 9}
-	isNeighbor := func(p NodeID) bool { return a.neighbors[p] != nil }
+	isNeighbor := func(p NodeID) bool { return a.neighbors.has(p) }
 
 	// One tracked message, kept un-retired by hand so decisions stay live.
 	id := a.Multicast([]byte("m"))
@@ -38,7 +38,7 @@ func TestBitmaskMatchesSliceModel(t *testing.T) {
 
 	checkDecisions := func(step int) {
 		t.Helper()
-		for _, y := range a.neighborOrder {
+		for _, y := range a.neighbors.ids {
 			bit := a.slotBit(y)
 			gotSkip := (st.heardMask|st.announcedMask)&bit != 0
 			wantSkip := containsID(model.heardFrom, y) || containsID(model.announcedTo, y)
@@ -48,7 +48,7 @@ func TestBitmaskMatchesSliceModel(t *testing.T) {
 		}
 		gotCovered := (st.heardMask|st.announcedMask)&a.liveMask == a.liveMask
 		wantCovered := true
-		for _, y := range a.neighborOrder {
+		for _, y := range a.neighbors.ids {
 			if !containsID(model.heardFrom, y) && !containsID(model.announcedTo, y) {
 				wantCovered = false
 				break
@@ -120,14 +120,14 @@ func TestSlotExhaustionScrub(t *testing.T) {
 	}
 	// The 65th holder forces a scrub: retired bits must leave the message.
 	a.AddNeighborDirect(Entry{ID: 200}, Random, time.Millisecond)
-	nb := a.neighbors[200]
+	nb := a.neighbors.get(200)
 	if nb == nil || nb.slot == invalidSlot {
 		t.Fatalf("new neighbor got no slot after scrub")
 	}
 	if st.heardMask&^(1<<nb.slot) != 0 {
 		t.Fatalf("scrub left stale bits: %064b", st.heardMask)
 	}
-	if len(a.retiredSlots) != 0 {
-		t.Fatalf("retired slots not cleared by scrub: %v", a.retiredSlots)
+	if a.retiredSlots.len() != 0 {
+		t.Fatalf("retired slots not cleared by scrub: %v", a.retiredSlots.appendKeys(nil))
 	}
 }

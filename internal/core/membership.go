@@ -33,54 +33,73 @@ func (n *Node) learnEntry(e Entry) {
 		n.stats.ObitsHonored++
 		return
 	}
-	old, known := n.members.get(e.ID)
-	if known && e.Inc < old.Inc {
-		n.stats.StaleIncRejects++
-		return
+	n.mergeEntry(e, n.members.index(e.ID), n.neighbors.get(e.ID))
+}
+
+// mergeEntry is learnEntry past the obituary check. i is e.ID's index in
+// the view (-1 if absent) and nb its neighbor record (nil if none): one
+// lookup per structure serves every later test, including the rejoin
+// check.
+func (n *Node) mergeEntry(e Entry, i int, nb *neighbor) {
+	var old Entry
+	if i >= 0 {
+		old = n.members.at(i)
+		if e.Inc < old.Inc {
+			n.stats.StaleIncRejects++
+			return
+		}
 	}
-	if nb := n.neighbors[e.ID]; nb != nil && e.Inc < nb.entry.Inc {
+	if nb != nil && e.Inc < nb.entry.Inc {
 		n.stats.StaleIncRejects++
 		return
 	}
 	n.env.Learn(e)
-	n.noteRejoin(e)
-	if known {
+	staleLink := nb != nil && e.Inc > nb.entry.Inc
+	if staleLink || (i >= 0 && e.Inc > old.Inc) {
+		n.noteRejoin(e.ID, staleLink)
+	}
+	if i >= 0 {
 		if e.Inc > old.Inc || len(e.Landmarks) > 0 || len(old.Landmarks) == 0 {
 			// Steady-state gossip re-delivers the same entry constantly
 			// (senders hand out one cached landmark slice, so identity
 			// comparison of the slice headers catches the common case);
 			// skip the table write when the stored value would not change.
+			// noteRejoin touches neither the view nor its index, so i
+			// still names e.ID's slot.
 			if e.Inc != old.Inc || e.Addr != old.Addr ||
 				len(e.Landmarks) != len(old.Landmarks) ||
 				(len(e.Landmarks) > 0 && &e.Landmarks[0] != &old.Landmarks[0]) {
-				n.members.set(e)
+				n.members.entries[i] = e
 			}
 		}
 		return
 	}
 	if n.members.len() >= n.cfg.MemberViewSize {
 		// Evict a random entry that is not a current neighbor.
-		victim := n.randomMember(func(id NodeID) bool { return n.neighbors[id] == nil })
+		victim := n.randomMember(n.notNeighbor)
 		if victim == None {
 			return
 		}
 		n.forgetMember(victim)
 	}
-	n.members.set(e)
+	n.members.add(e)
 }
+
+// notNeighbor is learnEntry's eviction filter.
+func (n *Node) notNeighbor(id NodeID) bool { return !n.neighbors.has(id) }
 
 // obitBlocks reports whether an active obituary quarantines this entry. A
 // strictly higher incarnation supersedes (clears) the obituary: a
 // legitimate rejoin must not be blocked. Expired records linger as
 // tombstones (see recordObit) and block nothing.
 func (n *Node) obitBlocks(e Entry) bool {
-	ob, ok := n.obits[e.ID]
+	ob, ok := n.obits.get(e.ID)
 	if !ok {
 		return false
 	}
 	if e.Inc > ob.Inc {
 		// A higher incarnation supersedes the obituary: the node is back.
-		delete(n.obits, e.ID)
+		n.obits.del(e.ID)
 		n.stats.RejoinsObserved++
 		return false
 	}
@@ -88,23 +107,18 @@ func (n *Node) obitBlocks(e Entry) bool {
 }
 
 // noteRejoin reacts to evidence that a known peer restarted under a higher
-// incarnation: any link still held under the dead incarnation is torn down
-// and cached measurements of the old life are discarded.
-func (n *Node) noteRejoin(e Entry) {
-	nb := n.neighbors[e.ID]
-	old, known := n.members.get(e.ID)
-	rejoined := (known && e.Inc > old.Inc) || (nb != nil && e.Inc > nb.entry.Inc)
-	if !rejoined {
-		return
-	}
+// incarnation (the caller has compared the entry against the view and the
+// link): cached measurements of the old life are discarded, and staleLink
+// marks a link still held under the dead incarnation, which is torn down.
+func (n *Node) noteRejoin(id NodeID, staleLink bool) {
 	n.stats.RejoinsObserved++
-	delete(n.rtt, e.ID)
-	delete(n.lastPong, e.ID)
-	if nb != nil && e.Inc > nb.entry.Inc {
+	n.rtt.del(id)
+	n.lastPong.del(id)
+	if staleLink {
 		n.stats.StaleLinksDropped++
-		n.removeNeighbor(e.ID, false)
+		n.removeNeighbor(id, false)
 	}
-	n.abortOpsWith(e.ID)
+	n.abortOpsWith(id)
 }
 
 // recordObit quarantines a dead incarnation of a peer: the member entry is
@@ -122,22 +136,21 @@ func (n *Node) recordObit(id NodeID, inc uint32, spread bool) {
 	if cur, ok := n.members.get(id); ok && cur.Inc > inc {
 		return // a newer life is already known; the obituary is stale
 	}
-	if ob, ok := n.obits[id]; ok {
+	if ob := n.obits.ptr(id); ob != nil {
 		if ob.Inc > inc {
 			return
 		}
 		if ob.Inc == inc {
 			if spread && !ob.Spread && n.env.Now() < ob.Until {
 				ob.Spread = true
-				n.obits[id] = ob
 			}
 			return
 		}
 	}
-	n.obits[id] = obitRecord{Inc: inc, Until: n.env.Now() + n.cfg.QuarantineWindow, Spread: spread}
+	n.obits.put(id, obitRecord{Inc: inc, Until: n.env.Now() + n.cfg.QuarantineWindow, Spread: spread})
 	n.stats.ObitsRecorded++
 	n.forgetMember(id)
-	if nb := n.neighbors[id]; nb != nil && nb.entry.Inc <= inc {
+	if nb := n.neighbors.get(id); nb != nil && nb.entry.Inc <= inc {
 		n.removeNeighbor(id, false)
 	}
 	n.abortOpsWith(id)
@@ -145,12 +158,18 @@ func (n *Node) recordObit(id NodeID, inc uint32, spread bool) {
 
 // knownInc returns the highest incarnation this node has recorded for id.
 func (n *Node) knownInc(id NodeID) uint32 {
+	return n.incOf(n.members.index(id), n.neighbors.get(id))
+}
+
+// incOf is knownInc over looked-up state: i is the peer's view index (-1
+// if absent), nb its neighbor record (nil if none).
+func (n *Node) incOf(i int, nb *neighbor) uint32 {
 	var inc uint32
-	if nb := n.neighbors[id]; nb != nil {
+	if nb != nil {
 		inc = nb.entry.Inc
 	}
-	if e, ok := n.members.get(id); ok && e.Inc > inc {
-		inc = e.Inc
+	if i >= 0 && n.members.entries[i].Inc > inc {
+		inc = n.members.entries[i].Inc
 	}
 	return inc
 }
@@ -162,7 +181,7 @@ func (n *Node) staleSender(e Entry) bool {
 	if e.ID == n.id || e.ID == None {
 		return false
 	}
-	if ob, ok := n.obits[e.ID]; ok && e.Inc <= ob.Inc && n.env.Now() < ob.Until {
+	if ob, ok := n.obits.get(e.ID); ok && e.Inc <= ob.Inc && n.env.Now() < ob.Until {
 		n.stats.StaleIncRejects++
 		return true
 	}
@@ -173,40 +192,65 @@ func (n *Node) staleSender(e Entry) bool {
 	return false
 }
 
-// activeObits returns the unexpired spreading obituaries (departures) in
-// deterministic order for gossip piggybacking. Expired records are kept as
-// tombstones for a few windows (so circulating copies cannot re-arm them)
-// and purged only after that retention passes.
-func (n *Node) activeObits() []Obituary {
-	if len(n.obits) == 0 {
-		return nil
+// admitSender is staleSender followed, for a sender it does not reject,
+// by learnEntry: it reports false (and counts) for a stale sender entry,
+// and otherwise merges the entry, looking each structure up once for
+// both steps.
+func (n *Node) admitSender(e Entry) bool {
+	if e.ID == n.id || e.ID == None {
+		return true
 	}
-	return n.appendActiveObits(make([]Obituary, 0, len(n.obits)))
+	ob, hasOb := n.obits.get(e.ID)
+	if hasOb && e.Inc <= ob.Inc && n.env.Now() < ob.Until {
+		n.stats.StaleIncRejects++
+		return false
+	}
+	i, nb := n.members.index(e.ID), n.neighbors.get(e.ID)
+	if e.Inc < n.incOf(i, nb) {
+		n.stats.StaleIncRejects++
+		return false
+	}
+	// What is left of obitBlocks: a higher incarnation clears the
+	// obituary; an expired one at or below it blocks nothing.
+	if hasOb && e.Inc > ob.Inc {
+		n.obits.del(e.ID)
+		n.stats.RejoinsObserved++
+	}
+	n.mergeEntry(e, i, nb)
+	return true
 }
 
-// appendActiveObits is activeObits appending into caller-owned storage,
-// reusing the node's scratch ID buffer so the gossip hot path allocates
+// appendActiveObits appends the unexpired spreading obituaries
+// (departures) to out in ID order, for gossip piggybacking. Expired
+// records are kept as tombstones for a few windows (so circulating copies
+// cannot re-arm them) and purged only after that retention passes. The
+// node's scratch ID buffer is reused, so the gossip hot path allocates
 // nothing once the scratch has grown.
 func (n *Node) appendActiveObits(out []Obituary) []Obituary {
-	if len(n.obits) == 0 {
+	if n.obits.len() == 0 {
 		return out
 	}
 	now := n.env.Now()
-	ids := n.obitScratch[:0]
-	for id, ob := range n.obits {
+	// Purging deletes from the table, which reorders its slots, so the
+	// keys are collected first.
+	ids := n.obits.appendKeys(n.obitScratch[:0])
+	spread := ids[:0]
+	for _, id := range ids {
+		ob, _ := n.obits.get(id)
 		if now >= ob.Until {
 			if now >= ob.Until+4*n.cfg.QuarantineWindow {
-				delete(n.obits, id)
+				n.obits.del(id)
 			}
 			continue
 		}
 		if ob.Spread {
-			ids = append(ids, id)
+			spread = append(spread, id)
 		}
 	}
-	sortNodeIDs(ids)
-	for _, id := range ids {
-		out = append(out, Obituary{ID: id, Inc: n.obits[id].Inc})
+	sortNodeIDs(spread)
+	for _, id := range spread {
+		ob, _ := n.obits.get(id)
+		out = append(out, Obituary{ID: id, Inc: ob.Inc})
 	}
 	n.obitScratch = ids[:0]
 	return out
@@ -217,15 +261,16 @@ func (n *Node) appendActiveObits(out []Obituary) []Obituary {
 func (n *Node) Obituaries() []Obituary {
 	now := n.env.Now()
 	var ids []NodeID
-	for id, ob := range n.obits {
-		if now < ob.Until {
+	for _, id := range n.obits.appendKeys(nil) {
+		if ob, _ := n.obits.get(id); now < ob.Until {
 			ids = append(ids, id)
 		}
 	}
 	sortNodeIDs(ids)
 	out := make([]Obituary, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, Obituary{ID: id, Inc: n.obits[id].Inc})
+		ob, _ := n.obits.get(id)
+		out = append(out, Obituary{ID: id, Inc: ob.Inc})
 	}
 	return out
 }
@@ -236,7 +281,7 @@ func (n *Node) forgetMember(id NodeID) {
 	if i < 0 {
 		return
 	}
-	delete(n.lastPong, id)
+	n.lastPong.del(id)
 	// The swap-remove moved the former tail into slot i; keep the
 	// round-robin cursor in range (exact fairness across a removal is not
 	// required, staying deterministic is).
@@ -316,11 +361,13 @@ func (n *Node) randomMember(ok func(NodeID) bool) NodeID {
 	if m == 0 {
 		return None
 	}
-	start := n.env.Rand(m)
-	for i := 0; i < m; i++ {
-		id := n.members.at((start + i) % m).ID
+	for i, j := 0, n.env.Rand(m); i < m; i++ {
+		id := n.members.entries[j].ID
 		if ok == nil || ok(id) {
 			return id
+		}
+		if j++; j == m {
+			j = 0
 		}
 	}
 	return None

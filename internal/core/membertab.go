@@ -1,57 +1,44 @@
 package core
 
 // memberTable is the partial view's backing store: a dense entry slice
-// for scan- and sample-heavy access plus a position index for O(1)
-// lookup. The previous representation (map[NodeID]Entry plus a separate
-// scan-order slice) paid a map lookup per visited element on every
-// gossip sample and an O(N) slice splice on every removal; here sampling
-// walks the dense slice directly and removal is a swap with the last
-// element. Slice order is deterministic for a given operation history
-// but is NOT insertion order once anything has been removed.
+// for scan- and sample-heavy access plus a flat position index for O(1)
+// lookup. Sampling walks the dense slice directly and removal is a swap
+// with the last element. Slice order is deterministic for a given
+// operation history but is NOT insertion order once anything has been
+// removed.
 type memberTable struct {
 	entries []Entry
-	pos     map[NodeID]int32
-}
-
-func newMemberTable() memberTable {
-	return memberTable{pos: make(map[NodeID]int32)}
+	pos     idTable[int32]
 }
 
 func (t *memberTable) len() int { return len(t.entries) }
 
+// index returns id's dense index, or -1 if id is not in the view. It is
+// invalidated by any add or remove.
+func (t *memberTable) index(id NodeID) int {
+	if s := t.pos.find(id); s >= 0 {
+		return int(t.pos.slots[s].val)
+	}
+	return -1
+}
+
 // get returns the entry for id, if present.
 func (t *memberTable) get(id NodeID) (Entry, bool) {
-	if i, ok := t.pos[id]; ok {
+	if i := t.index(id); i >= 0 {
 		return t.entries[i], true
 	}
 	return Entry{}, false
 }
 
 // has reports whether id is in the view without copying the entry.
-func (t *memberTable) has(id NodeID) bool {
-	_, ok := t.pos[id]
-	return ok
-}
-
-// ptr returns a pointer for in-place update, nil if absent. The pointer
-// is invalidated by any set or remove.
-func (t *memberTable) ptr(id NodeID) *Entry {
-	if i, ok := t.pos[id]; ok {
-		return &t.entries[i]
-	}
-	return nil
-}
+func (t *memberTable) has(id NodeID) bool { return t.pos.has(id) }
 
 // at returns the entry at dense index i (0 <= i < len).
 func (t *memberTable) at(i int) Entry { return t.entries[i] }
 
-// set inserts or replaces the entry for e.ID.
-func (t *memberTable) set(e Entry) {
-	if i, ok := t.pos[e.ID]; ok {
-		t.entries[i] = e
-		return
-	}
-	t.pos[e.ID] = int32(len(t.entries))
+// add appends an entry whose ID is not in the view.
+func (t *memberTable) add(e Entry) {
+	t.pos.put(e.ID, int32(len(t.entries)))
 	t.entries = append(t.entries, e)
 }
 
@@ -59,18 +46,18 @@ func (t *memberTable) set(e Entry) {
 // the dense index the removal happened at (-1 if id was absent) so
 // callers can fix up any cursor into the slice.
 func (t *memberTable) remove(id NodeID) int {
-	i, ok := t.pos[id]
-	if !ok {
+	i := t.index(id)
+	if i < 0 {
 		return -1
 	}
 	last := len(t.entries) - 1
-	if int(i) != last {
+	if i != last {
 		moved := t.entries[last]
 		t.entries[i] = moved
-		t.pos[moved.ID] = i
+		*t.pos.ptr(moved.ID) = int32(i)
 	}
 	t.entries[last] = Entry{}
 	t.entries = t.entries[:last]
-	delete(t.pos, id)
-	return int(i)
+	t.pos.del(id)
+	return i
 }

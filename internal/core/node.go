@@ -35,27 +35,28 @@ type Node struct {
 	scanIdx int
 	// obits quarantines dead or departed incarnations so stale in-flight
 	// gossip cannot resurrect them (see membership.go).
-	obits map[NodeID]obitRecord
+	obits idTable[obitRecord]
 	// First-pass candidate list sorted by estimated latency; nil until
 	// built, emptied as candidates are probed.
 	estimated []NodeID
 
 	// Measured RTT cache and landmark state (triangulated estimation).
-	rtt       map[NodeID]time.Duration
+	rtt       idTable[time.Duration]
 	landmarks []Entry
 	landVec   []uint16 // my RTT to each landmark, ms; 0 = unmeasured
-	pings     map[uint32]*pingCtx
+	// pings holds the outstanding pings in send (= nonce) order.
+	pings     []pingCtx
 	pingNonce uint32
 	// lastPong remembers when each member last answered a ping, so a stale
 	// ping lost to a transient fault does not evict a member that has since
 	// proven alive (see expirePings).
-	lastPong map[NodeID]time.Duration
+	lastPong idTable[time.Duration]
 
-	// Overlay neighbors and in-flight maintenance operations.
-	neighbors     map[NodeID]*neighbor
-	neighborOrder []NodeID
-	pendingAdd    map[NodeID]*addCtx
-	rebalance     *rebalanceCtx
+	// Overlay neighbors (in link-creation order) and in-flight maintenance
+	// operations.
+	neighbors  neighborList
+	pendingAdd idTable[addCtx]
+	rebalance  *rebalanceCtx
 
 	// Neighbor-slot allocation for the per-message bitmasks (see
 	// dissem.go). slotUsed marks slots taken by live or retired holders;
@@ -64,7 +65,7 @@ type Node struct {
 	// still knows what was announced to that peer.
 	slotUsed     uint64
 	liveMask     uint64
-	retiredSlots map[NodeID]uint8
+	retiredSlots idTable[uint8]
 
 	// Dissemination state (Section 2.1). Payload buffering, retention,
 	// and reclamation are delegated to the pluggable store; seen keeps the
@@ -87,7 +88,7 @@ type Node struct {
 	// last time a sync was initiated toward each peer (rate limit for the
 	// event-triggered rounds).
 	syncIdx    int
-	lastSyncTo map[NodeID]time.Duration
+	lastSyncTo idTable[time.Duration]
 	// digestScratch backs localDigest: reused across sync exchanges,
 	// never sent on the wire.
 	digestScratch []store.SourceRange
@@ -98,7 +99,6 @@ type Node struct {
 	treeRoot   NodeID
 	parent     NodeID
 	distToRoot time.Duration
-	children   map[NodeID]bool
 	lastWaveAt time.Duration
 	rootJitter time.Duration
 	// lostDist remembers the distance held before the parent link broke;
@@ -183,6 +183,56 @@ type neighbor struct {
 	// parent vanishes can re-pick a parent without waiting for a wave.
 	advert    TreeAdvert
 	hasAdvert bool
+	// child marks a neighbor that named this node its tree parent.
+	child bool
+}
+
+// neighborList holds the overlay neighbors in link-creation order: the
+// gossip and sync round-robin cursors index it, so removal splices and
+// keeps the order. Degree is bounded by C + DegreeSlack, so looking a peer
+// up by a linear scan of ids stays within a cache line or two and beats a
+// hash lookup.
+type neighborList struct {
+	ids []NodeID
+	nbs []*neighbor
+}
+
+func (l *neighborList) len() int { return len(l.ids) }
+
+// index returns id's position, or -1 if id is not a neighbor.
+func (l *neighborList) index(id NodeID) int {
+	for i, v := range l.ids {
+		if v == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// get returns id's record, or nil if id is not a neighbor.
+func (l *neighborList) get(id NodeID) *neighbor {
+	if i := l.index(id); i >= 0 {
+		return l.nbs[i]
+	}
+	return nil
+}
+
+func (l *neighborList) has(id NodeID) bool { return l.index(id) >= 0 }
+
+// add appends a neighbor (the caller checked it is not already present).
+func (l *neighborList) add(nb *neighbor) {
+	l.ids = append(l.ids, nb.entry.ID)
+	l.nbs = append(l.nbs, nb)
+}
+
+// removeAt deletes position i, shifting the later neighbors down.
+func (l *neighborList) removeAt(i int) {
+	last := len(l.ids) - 1
+	copy(l.ids[i:], l.ids[i+1:])
+	copy(l.nbs[i:], l.nbs[i+1:])
+	l.nbs[last] = nil
+	l.ids = l.ids[:last]
+	l.nbs = l.nbs[:last]
 }
 
 // New constructs a node. The returned node is inert until Start is called.
@@ -200,27 +250,17 @@ func New(id NodeID, cfg Config, env Env) *Node {
 		st = store.NewMemory(limits)
 	}
 	n := &Node{
-		id:           id,
-		self:         Entry{ID: id},
-		cfg:          cfg,
-		env:          env,
-		maintenance:  true,
-		members:      newMemberTable(),
-		obits:        make(map[NodeID]obitRecord),
-		rtt:          make(map[NodeID]time.Duration),
-		pings:        make(map[uint32]*pingCtx),
-		lastPong:     make(map[NodeID]time.Duration),
-		neighbors:    make(map[NodeID]*neighbor),
-		pendingAdd:   make(map[NodeID]*addCtx),
-		retiredSlots: make(map[NodeID]uint8),
-		store:        st,
-		seen:         make(map[uint64]*msgState),
-		pending:      make(map[uint64]*pullState),
-		lastSyncTo:   make(map[NodeID]time.Duration),
-		children:     make(map[NodeID]bool),
-		treeRoot:     None,
-		parent:       None,
-		distToRoot:   distInfinity,
+		id:          id,
+		self:        Entry{ID: id},
+		cfg:         cfg,
+		env:         env,
+		maintenance: true,
+		store:       st,
+		seen:        make(map[uint64]*msgState),
+		pending:     make(map[uint64]*pullState),
+		treeRoot:    None,
+		parent:      None,
+		distToRoot:  distInfinity,
 	}
 	if p, ok := env.(MessagePool); ok {
 		n.pool = p
@@ -298,10 +338,8 @@ func (n *Node) Stop() {
 // Drop so they quarantine this incarnation (and spread the obituary via
 // gossip piggyback), then stops.
 func (n *Node) Leave() {
-	for _, id := range n.neighborOrder {
-		if n.neighbors[id] != nil {
-			n.env.Send(id, &Drop{Degrees: n.degrees(), Departing: true})
-		}
+	for _, id := range n.neighbors.ids {
+		n.env.Send(id, &Drop{Degrees: n.degrees(), Departing: true})
 	}
 	n.Stop()
 }
@@ -337,7 +375,7 @@ func (n *Node) HandleMessage(from NodeID, m Message) {
 	if !n.running {
 		return
 	}
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.neighbors.get(from); nb != nil {
 		nb.lastHeard = n.env.Now()
 	}
 	switch msg := m.(type) {
@@ -398,19 +436,16 @@ func (n *Node) PeerDown(peer NodeID) {
 	// Quarantine locally (not spread: a broken channel may be a partition,
 	// not a death, and a false obituary epidemic would make it worse).
 	n.recordObit(peer, n.knownInc(peer), false)
-	if n.neighbors[peer] != nil {
-		n.removeNeighbor(peer, false)
-	}
+	n.removeNeighbor(peer, false)
 	n.abortOpsWith(peer)
 }
 
 // handleJoinRequest answers with a membership sample, the landmark set,
 // and the current root.
 func (n *Node) handleJoinRequest(from NodeID, m *JoinRequest) {
-	if n.staleSender(m.From) {
+	if !n.admitSender(m.From) {
 		return
 	}
-	n.learnEntry(m.From)
 	reply := &JoinReply{
 		Members:   n.sampleMembers(n.cfg.MemberViewSize, m.From.ID),
 		Landmarks: append([]Entry(nil), n.landmarks...),
@@ -443,14 +478,14 @@ func (n *Node) handleJoinReply(from NodeID, m *JoinReply) {
 // degrees snapshots this node's current degrees for piggybacking. The
 // snapshot is cached between neighbor-set (or nearby-RTT) changes: every
 // gossip and most overlay messages carry degrees, so recounting the
-// neighbor map each time shows up in profiles.
+// neighbor list each time shows up in profiles.
 func (n *Node) degrees() Degrees {
 	if n.degCacheOK {
 		return n.degCache
 	}
 	var d Degrees
 	var maxNear time.Duration
-	for _, nb := range n.neighbors {
+	for _, nb := range n.neighbors.nbs {
 		switch nb.kind {
 		case Random:
 			d.Rand++

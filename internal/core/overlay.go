@@ -63,15 +63,17 @@ func (n *Node) maintainTick() {
 func (n *Node) expireOps() {
 	now := n.env.Now()
 	var expired []NodeID
-	for id, ctx := range n.pendingAdd {
-		if now-ctx.startedAt > opTimeout {
-			expired = append(expired, id)
+	if n.pendingAdd.len() > 0 {
+		for i := range n.pendingAdd.slots {
+			if s := &n.pendingAdd.slots[i]; s.key != 0 && now-s.val.startedAt > opTimeout {
+				expired = append(expired, s.val.target.ID)
+			}
 		}
 	}
 	sortNodeIDs(expired)
 	for _, id := range expired {
-		ctx := n.pendingAdd[id]
-		delete(n.pendingAdd, id)
+		ctx, _ := n.pendingAdd.get(id)
+		n.pendingAdd.del(id)
 		if ctx.purpose == addRebalanceLink {
 			n.env.Send(ctx.rebalanceFrom, &RebalanceReply{Target: id, OK: false})
 		}
@@ -87,9 +89,9 @@ func (n *Node) expireOps() {
 func (n *Node) checkNeighborLiveness() {
 	now := n.env.Now()
 	var dead []NodeID
-	for _, id := range n.neighborOrder {
-		if nb := n.neighbors[id]; nb != nil && now-nb.lastHeard > n.cfg.NeighborTimeout {
-			dead = append(dead, id)
+	for _, nb := range n.neighbors.nbs {
+		if now-nb.lastHeard > n.cfg.NeighborTimeout {
+			dead = append(dead, nb.entry.ID)
 		}
 	}
 	for _, id := range dead {
@@ -103,7 +105,7 @@ func (n *Node) checkNeighborLiveness() {
 
 // abortOpsWith clears operations that involve a failed peer.
 func (n *Node) abortOpsWith(peer NodeID) {
-	delete(n.pendingAdd, peer)
+	n.pendingAdd.del(peer)
 	if n.rebalance != nil && (n.rebalance.via == peer || n.rebalance.target == peer) {
 		n.rebalance = nil
 	}
@@ -122,10 +124,9 @@ func (n *Node) maintainRandom() {
 		// Operation 2: drop the link to a random neighbor that itself has
 		// more than C_rand random neighbors, reducing both degrees while
 		// keeping both >= C_rand.
-		for _, id := range n.neighborOrder {
-			nb := n.neighbors[id]
-			if nb != nil && nb.kind == Random && nb.degKnown && int(nb.deg.Rand) > n.cfg.CRand {
-				n.dropLink(id)
+		for _, nb := range n.neighbors.nbs {
+			if nb.kind == Random && nb.degKnown && int(nb.deg.Rand) > n.cfg.CRand {
+				n.dropLink(nb.entry.ID)
 				return
 			}
 		}
@@ -134,11 +135,7 @@ func (n *Node) maintainRandom() {
 
 // tryFillRandom starts adding one random neighbor.
 func (n *Node) tryFillRandom() {
-	id := n.randomMember(func(id NodeID) bool {
-		_, isNb := n.neighbors[id]
-		_, isPending := n.pendingAdd[id]
-		return !isNb && !isPending
-	})
+	id := n.randomMember(func(id NodeID) bool { return !n.linkedOrPending(id) })
 	if id == None {
 		return
 	}
@@ -150,7 +147,7 @@ func (n *Node) resumeAddRandom(e Entry, rtt time.Duration, deg Degrees) {
 	if n.degreeOf(Random) >= n.cfg.CRand {
 		return // already fixed meanwhile
 	}
-	if _, ok := n.neighbors[e.ID]; ok {
+	if n.neighbors.has(e.ID) {
 		return
 	}
 	if int(deg.Rand) >= n.cfg.CRand+n.cfg.DegreeSlack {
@@ -167,8 +164,8 @@ func (n *Node) tryRebalanceRandom() {
 		return
 	}
 	var rands []*neighbor
-	for _, id := range n.neighborOrder {
-		if nb := n.neighbors[id]; nb != nil && nb.kind == Random {
+	for _, nb := range n.neighbors.nbs {
+		if nb.kind == Random {
 			rands = append(rands, nb)
 		}
 	}
@@ -193,18 +190,19 @@ func (n *Node) handleRebalance(from NodeID, m *Rebalance) {
 		n.env.Send(from, &RebalanceReply{Target: t.ID, OK: false})
 		return
 	}
-	if _, ok := n.neighbors[t.ID]; ok {
+	if n.neighbors.has(t.ID) {
 		// Already linked to Z; X can still drop its two links without
 		// degree loss for us.
 		n.env.Send(from, &RebalanceReply{Target: t.ID, OK: true})
 		return
 	}
-	if _, ok := n.pendingAdd[t.ID]; ok {
+	if n.pendingAdd.has(t.ID) {
 		n.env.Send(from, &RebalanceReply{Target: t.ID, OK: false})
 		return
 	}
 	n.learnEntry(t)
-	n.requestAddFull(t, Random, n.rtt[t.ID], addRebalanceLink, from)
+	rtt, _ := n.rtt.get(t.ID)
+	n.requestAddFull(t, Random, rtt, addRebalanceLink, from)
 }
 
 // handleRebalanceReply is X's side: on success drop the links to both Y
@@ -221,12 +219,8 @@ func (n *Node) handleRebalanceReply(from NodeID, m *RebalanceReply) {
 	if n.degreeOf(Random) < n.cfg.CRand+2 {
 		return // degree already fell; keep the links
 	}
-	if _, ok := n.neighbors[rb.via]; ok {
-		n.dropLink(rb.via)
-	}
-	if _, ok := n.neighbors[rb.target]; ok {
-		n.dropLink(rb.target)
-	}
+	n.dropLink(rb.via)
+	n.dropLink(rb.target)
 	n.stats.Rebalances++
 }
 
@@ -265,9 +259,8 @@ func (n *Node) dropExcessNearby(dnear int) {
 func (n *Node) pickReplaceVictim(exclude NodeID) NodeID {
 	victim := None
 	var worst time.Duration = -1
-	for _, id := range n.neighborOrder {
-		nb := n.neighbors[id]
-		if nb == nil || nb.kind != Nearby || id == exclude {
+	for _, nb := range n.neighbors.nbs {
+		if nb.kind != Nearby || nb.entry.ID == exclude {
 			continue
 		}
 		if nb.degKnown && int(nb.deg.Near) < n.cfg.CNear-n.cfg.C1Lower {
@@ -275,7 +268,7 @@ func (n *Node) pickReplaceVictim(exclude NodeID) NodeID {
 		}
 		if nb.rtt > worst {
 			worst = nb.rtt
-			victim = id
+			victim = nb.entry.ID
 		}
 	}
 	return victim
@@ -284,15 +277,11 @@ func (n *Node) pickReplaceVictim(exclude NodeID) NodeID {
 // tryAddNearby adds at most one nearby neighbor per cycle when below
 // target.
 func (n *Node) tryAddNearby() {
-	cand, ok := n.nextCandidate(func(id NodeID) bool {
-		_, isNb := n.neighbors[id]
-		_, isPending := n.pendingAdd[id]
-		return isNb || isPending
-	})
+	cand, ok := n.nextCandidate(n.linkedOrPending)
 	if !ok {
 		return
 	}
-	if rtt, known := n.rtt[cand.ID]; known {
+	if rtt, known := n.rtt.get(cand.ID); known {
 		n.resumeAddNearby(cand, rtt, Degrees{}) // degrees re-checked by acceptor
 		return
 	}
@@ -306,7 +295,7 @@ func (n *Node) resumeAddNearby(e Entry, rtt time.Duration, deg Degrees) {
 	if n.degreeOf(Nearby) >= n.cfg.CNear {
 		return
 	}
-	if _, ok := n.neighbors[e.ID]; ok {
+	if n.neighbors.has(e.ID) {
 		return
 	}
 	if int(deg.Near) >= n.cfg.CNear+n.cfg.DegreeSlack {
@@ -321,15 +310,17 @@ func (n *Node) tryReplaceNearby() {
 	if n.hasOutstandingProbe(pingProbeReplace) {
 		return
 	}
-	cand, ok := n.nextCandidate(func(id NodeID) bool {
-		_, isNb := n.neighbors[id]
-		_, isPending := n.pendingAdd[id]
-		return isNb || isPending
-	})
+	cand, ok := n.nextCandidate(n.linkedOrPending)
 	if !ok {
 		return
 	}
 	n.sendPing(cand.ID, pingCtx{target: cand.ID, purpose: pingProbeReplace})
+}
+
+// linkedOrPending reports whether id is a neighbor or has an add in
+// flight: the candidate filter of the add and replace sweeps.
+func (n *Node) linkedOrPending(id NodeID) bool {
+	return n.neighbors.has(id) || n.pendingAdd.has(id)
 }
 
 func (n *Node) hasOutstandingProbe(p pingPurpose) bool {
@@ -345,7 +336,7 @@ func (n *Node) hasOutstandingProbe(p pingPurpose) bool {
 // and, if they hold, requests the link to Q; the current worst neighbor U
 // is dropped when the add is accepted.
 func (n *Node) resumeReplace(q Entry, rtt time.Duration, deg Degrees) {
-	if _, ok := n.neighbors[q.ID]; ok {
+	if n.neighbors.has(q.ID) {
 		return
 	}
 	// C1: there must be a droppable neighbor U (picked again at accept
@@ -363,7 +354,7 @@ func (n *Node) resumeReplace(q Entry, rtt time.Duration, deg Degrees) {
 		return
 	}
 	// C4: Q must be significantly better than U.
-	if float64(rtt) > n.cfg.ReplaceRatio*float64(n.neighbors[u].rtt) {
+	if float64(rtt) > n.cfg.ReplaceRatio*float64(n.neighbors.get(u).rtt) {
 		return
 	}
 	n.requestAdd(q, Nearby, rtt, addNearbyReplace, None)
@@ -375,14 +366,14 @@ func (n *Node) requestAdd(e Entry, kind LinkKind, rtt time.Duration, purpose add
 }
 
 func (n *Node) requestAddFull(e Entry, kind LinkKind, rtt time.Duration, purpose addPurpose, rebalanceFrom NodeID) {
-	n.pendingAdd[e.ID] = &addCtx{
+	n.pendingAdd.put(e.ID, addCtx{
 		target:        e,
 		kind:          kind,
 		purpose:       purpose,
 		rtt:           rtt,
 		startedAt:     n.env.Now(),
 		rebalanceFrom: rebalanceFrom,
-	}
+	})
 	n.stats.AddsSent++
 	n.env.Send(e.ID, &AddRequest{
 		From:         n.selfEntry(),
@@ -396,7 +387,7 @@ func (n *Node) requestAddFull(e Entry, kind LinkKind, rtt time.Duration, purpose
 // handleAddRequest decides whether to accept a new neighbor, enforcing
 // the degree caps of Section 2.2.1 and the worst-link condition.
 func (n *Node) handleAddRequest(from NodeID, m *AddRequest) {
-	if n.staleSender(m.From) {
+	if !n.admitSender(m.From) {
 		// A dead past life must never be linked to: reject outright.
 		n.env.Send(from, &AddReply{
 			From:         n.selfEntry(),
@@ -408,9 +399,8 @@ func (n *Node) handleAddRequest(from NodeID, m *AddRequest) {
 		})
 		return
 	}
-	n.learnEntry(m.From)
 	accepted := false
-	if _, already := n.neighbors[from]; already {
+	if n.neighbors.has(from) {
 		accepted = true // idempotent: link exists
 	} else {
 		switch m.LinkKind {
@@ -429,7 +419,7 @@ func (n *Node) handleAddRequest(from NodeID, m *AddRequest) {
 		}
 		if accepted {
 			n.addNeighbor(m.From, m.LinkKind, m.RTT)
-			if nb := n.neighbors[from]; nb != nil {
+			if nb := n.neighbors.get(from); nb != nil {
 				nb.deg = m.Degrees
 				nb.degKnown = true
 			}
@@ -453,7 +443,7 @@ func (n *Node) handleAddReply(from NodeID, m *AddReply) {
 	if n.staleSender(m.From) {
 		return // a dead past life's acceptance must not install a link
 	}
-	ctx, ok := n.pendingAdd[from]
+	ctx, ok := n.pendingAdd.get(from)
 	if !ok {
 		if m.Accepted {
 			// We no longer want this link (op expired); tear it down so
@@ -462,17 +452,17 @@ func (n *Node) handleAddReply(from NodeID, m *AddReply) {
 		}
 		return
 	}
-	delete(n.pendingAdd, from)
+	n.pendingAdd.del(from)
 	if !m.Accepted {
 		if ctx.purpose == addRebalanceLink {
 			n.env.Send(ctx.rebalanceFrom, &RebalanceReply{Target: from, OK: false})
 		}
 		return
 	}
-	if _, already := n.neighbors[from]; !already {
+	if !n.neighbors.has(from) {
 		n.addNeighbor(m.From, ctx.kind, ctx.rtt)
 	}
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.neighbors.get(from); nb != nil {
 		nb.deg = m.Degrees
 		nb.degKnown = true
 		if nb.rtt == 0 {
@@ -492,12 +482,7 @@ func (n *Node) handleAddReply(from NodeID, m *AddReply) {
 }
 
 // dropLink removes the link to peer and notifies it.
-func (n *Node) dropLink(peer NodeID) {
-	if _, ok := n.neighbors[peer]; !ok {
-		return
-	}
-	n.removeNeighbor(peer, true)
-}
+func (n *Node) dropLink(peer NodeID) { n.removeNeighbor(peer, true) }
 
 // handleDrop removes the link at the receiving end. A departing Drop
 // (graceful leave) additionally records a spreading obituary so the member
@@ -505,9 +490,6 @@ func (n *Node) dropLink(peer NodeID) {
 func (n *Node) handleDrop(from NodeID, m *Drop) {
 	if m.Departing {
 		n.recordObit(from, n.knownInc(from), true)
-	}
-	if _, ok := n.neighbors[from]; !ok {
-		return
 	}
 	n.removeNeighbor(from, false)
 }
@@ -517,22 +499,21 @@ func (n *Node) addNeighbor(e Entry, kind LinkKind, rtt time.Duration) {
 	if e.ID == n.id || e.ID == None {
 		return
 	}
-	if _, ok := n.neighbors[e.ID]; ok {
+	if n.neighbors.has(e.ID) {
 		return
 	}
 	n.learnEntry(e)
 	if rtt == 0 {
-		if known := n.rtt[e.ID]; known > 0 {
+		if known, _ := n.rtt.get(e.ID); known > 0 {
 			rtt = known
 		}
 	}
 	nb := &neighbor{entry: e, kind: kind, rtt: rtt, lastHeard: n.env.Now(), slot: n.allocSlot(e.ID)}
-	n.neighbors[e.ID] = nb
+	n.neighbors.add(nb)
 	n.degCacheOK = false
 	if nb.slot != invalidSlot {
 		n.liveMask |= 1 << nb.slot
 	}
-	n.neighborOrder = append(n.neighborOrder, e.ID)
 	n.stats.LinkAdds++
 	if n.obs != nil {
 		n.observeLink(dtrace.KindLinkUp, e.ID, kind, rtt)
@@ -544,25 +525,20 @@ func (n *Node) addNeighbor(e Entry, kind LinkKind, rtt time.Duration) {
 // removeNeighbor uninstalls an overlay link; if notify is set the peer is
 // told to drop its end.
 func (n *Node) removeNeighbor(peer NodeID, notify bool) {
-	nb, ok := n.neighbors[peer]
-	if !ok {
+	i := n.neighbors.index(peer)
+	if i < 0 {
 		return
 	}
-	delete(n.neighbors, peer)
+	nb := n.neighbors.nbs[i]
+	n.neighbors.removeAt(i)
+	if n.gossipIdx > i {
+		n.gossipIdx--
+	}
 	n.degCacheOK = false
 	if nb.slot != invalidSlot {
 		n.liveMask &^= 1 << nb.slot
 	}
 	n.retireSlot(peer, nb.slot)
-	for i, v := range n.neighborOrder {
-		if v == peer {
-			n.neighborOrder = append(n.neighborOrder[:i], n.neighborOrder[i+1:]...)
-			if n.gossipIdx > i {
-				n.gossipIdx--
-			}
-			break
-		}
-	}
 	n.stats.LinkDrops++
 	if n.obs != nil {
 		n.observeLink(dtrace.KindLinkDown, peer, nb.kind, nb.rtt)
@@ -591,11 +567,9 @@ type NeighborInfo struct {
 // Neighbors returns the node's current overlay links in a deterministic
 // order (link creation order).
 func (n *Node) Neighbors() []NeighborInfo {
-	out := make([]NeighborInfo, 0, len(n.neighbors))
-	for _, id := range n.neighborOrder {
-		if nb := n.neighbors[id]; nb != nil {
-			out = append(out, NeighborInfo{ID: id, Kind: nb.kind, RTT: nb.rtt, Inc: nb.entry.Inc})
-		}
+	out := make([]NeighborInfo, 0, n.neighbors.len())
+	for _, nb := range n.neighbors.nbs {
+		out = append(out, NeighborInfo{ID: nb.entry.ID, Kind: nb.kind, RTT: nb.rtt, Inc: nb.entry.Inc})
 	}
 	return out
 }
@@ -610,7 +584,7 @@ func sortNodeIDs(s []NodeID) {
 }
 
 // Degree returns the node's total overlay degree.
-func (n *Node) Degree() int { return len(n.neighbors) }
+func (n *Node) Degree() int { return n.neighbors.len() }
 
 // RandDegree returns the number of random links.
 func (n *Node) RandDegree() int { return n.degreeOf(Random) }

@@ -98,8 +98,8 @@ func TestStalePingExpiryKeepsAnsweredMember(t *testing.T) {
 	f.run(pingTimeout + time.Second)
 
 	// A stale ping context that predates a successful pong must not evict.
-	a.lastPong[2] = a.env.Now()
-	a.pings[1] = &pingCtx{target: 2, purpose: pingProbeReplace, sentAt: 0}
+	a.lastPong.put(2, a.env.Now())
+	a.pings = append(a.pings, pingCtx{nonce: 1, target: 2, purpose: pingProbeReplace, sentAt: 0})
 	a.expirePings()
 	if !a.members.has(2) {
 		t.Fatalf("member evicted despite a pong newer than the stale ping")
@@ -109,8 +109,8 @@ func TestStalePingExpiryKeepsAnsweredMember(t *testing.T) {
 	}
 
 	// Control: with no fresh pong the same stale context does evict.
-	delete(a.lastPong, 2)
-	a.pings[2] = &pingCtx{target: 2, purpose: pingProbeReplace, sentAt: 0}
+	a.lastPong.del(2)
+	a.pings = append(a.pings, pingCtx{nonce: 2, target: 2, purpose: pingProbeReplace, sentAt: 0})
 	a.expirePings()
 	if a.members.has(2) {
 		t.Fatalf("member not evicted for an unanswered stale ping")

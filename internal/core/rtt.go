@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"sort"
+	"time"
+)
 
 // RTT measurement and triangulated latency estimation.
 //
@@ -24,6 +27,7 @@ const (
 )
 
 type pingCtx struct {
+	nonce    uint32
 	target   NodeID
 	purpose  pingPurpose
 	sentAt   time.Duration
@@ -111,11 +115,13 @@ func (n *Node) estimateRTT(e Entry) time.Duration {
 	return time.Duration((lower+upper)/2) * time.Millisecond
 }
 
-// sendPing issues a datagram ping and registers its context.
+// sendPing issues a datagram ping and registers its context. Nonces
+// increase and send times never decrease, so n.pings stays sorted by both.
 func (n *Node) sendPing(to NodeID, ctx pingCtx) {
 	n.pingNonce++
+	ctx.nonce = n.pingNonce
 	ctx.sentAt = n.env.Now()
-	n.pings[n.pingNonce] = &ctx
+	n.pings = append(n.pings, ctx)
 	n.stats.PingsSent++
 	n.env.SendDatagram(to, &Ping{From: n.selfEntry(), Nonce: n.pingNonce})
 }
@@ -123,10 +129,9 @@ func (n *Node) sendPing(to NodeID, ctx pingCtx) {
 // handlePing answers with the node's degrees; pings also spread contact
 // information.
 func (n *Node) handlePing(from NodeID, m *Ping) {
-	if n.staleSender(m.From) {
+	if !n.admitSender(m.From) {
 		return // no pong for a dead past life
 	}
-	n.learnEntry(m.From)
 	n.env.SendDatagram(from, &Pong{From: n.selfEntry(), Nonce: m.Nonce, Degrees: n.degrees()})
 }
 
@@ -136,19 +141,23 @@ func (n *Node) handlePong(from NodeID, m *Pong) {
 	if n.staleSender(m.From) {
 		return
 	}
-	ctx, ok := n.pings[m.Nonce]
-	if !ok || ctx.target != from {
+	// The pong must answer a ping to its sender and carry the sender's own
+	// entry: a mismatched entry (a None ID, say) would otherwise reach the
+	// add paths below as a link candidate.
+	i := n.findPing(m.Nonce)
+	if i < 0 || n.pings[i].target != from || m.From.ID != from {
 		return
 	}
-	delete(n.pings, m.Nonce)
+	ctx := n.pings[i]
+	n.pings = append(n.pings[:i], n.pings[i+1:]...)
 	rtt := n.env.Now() - ctx.sentAt
 	if rtt <= 0 {
 		rtt = time.Millisecond
 	}
-	n.rtt[from] = rtt
-	n.lastPong[from] = n.env.Now()
+	n.rtt.put(from, rtt)
+	n.lastPong.put(from, n.env.Now())
 	n.learnEntry(m.From)
-	if nb := n.neighbors[from]; nb != nil {
+	if nb := n.neighbors.get(from); nb != nil {
 		nb.deg = m.Degrees
 		nb.degKnown = true
 		if ctx.purpose == pingMeasureLink || nb.rtt == 0 {
@@ -180,35 +189,47 @@ func (n *Node) handlePong(from NodeID, m *Pong) {
 	}
 }
 
+// findPing returns the index of the outstanding ping with this nonce, or
+// -1. The slice is in nonce order; comparing offsets from the oldest
+// nonce keeps the search correct across a nonce wrap.
+func (n *Node) findPing(nonce uint32) int {
+	if len(n.pings) == 0 {
+		return -1
+	}
+	base := n.pings[0].nonce
+	i := sort.Search(len(n.pings), func(i int) bool { return n.pings[i].nonce-base >= nonce-base })
+	if i < len(n.pings) && n.pings[i].nonce == nonce {
+		return i
+	}
+	return -1
+}
+
 // expirePings drops ping contexts that never got a pong, and evicts the
-// unresponsive target from the member view (it is likely dead).
+// unresponsive target from the member view (it is likely dead). Every
+// ping shares one timeout and send times follow nonce order, so the
+// expired pings are a prefix of n.pings, already in nonce order.
 func (n *Node) expirePings() {
 	now := n.env.Now()
-	var expired []uint32
-	for nonce, ctx := range n.pings {
-		if now-ctx.sentAt > pingTimeout {
-			expired = append(expired, nonce)
-		}
+	k := 0
+	for k < len(n.pings) && now-n.pings[k].sentAt > pingTimeout {
+		k++
 	}
-	// Deterministic processing order: member-view eviction must not depend
-	// on map iteration order.
-	for i := 1; i < len(expired); i++ {
-		for j := i; j > 0 && expired[j] < expired[j-1]; j-- {
-			expired[j], expired[j-1] = expired[j-1], expired[j]
-		}
+	if k == 0 {
+		return
 	}
-	for _, nonce := range expired {
-		ctx := n.pings[nonce]
-		delete(n.pings, nonce)
+	// Nothing below sends a ping, so the prefix stays put while it is
+	// processed.
+	for i := 0; i < k; i++ {
+		ctx := n.pings[i]
 		if ctx.purpose == pingLandmark || ctx.purpose == pingMeasureLink {
 			continue
 		}
 		// A ping swallowed by a transient fault (e.g. a partition that has
 		// since healed) must not evict a member that answered a later ping.
-		if n.lastPong[ctx.target] > ctx.sentAt {
+		if last, _ := n.lastPong.get(ctx.target); last > ctx.sentAt {
 			continue
 		}
-		if n.neighbors[ctx.target] == nil {
+		if !n.neighbors.has(ctx.target) {
 			// Quarantine locally so stale gossip cannot immediately
 			// re-teach us the likely-dead entry (not spread: one lost
 			// datagram is weak evidence).
@@ -217,6 +238,7 @@ func (n *Node) expirePings() {
 			n.forgetMember(ctx.target)
 		}
 	}
+	n.pings = n.pings[:copy(n.pings, n.pings[k:])]
 }
 
 const pingTimeout = 3 * time.Second

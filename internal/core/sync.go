@@ -31,14 +31,15 @@ func (n *Node) syncTick() {
 		return
 	}
 	n.syncTimer = n.env.After(n.scaledSyncInterval(), n.tickSync)
-	if len(n.neighborOrder) == 0 {
+	deg := n.neighbors.len()
+	if deg == 0 {
 		return
 	}
-	if n.syncIdx >= len(n.neighborOrder) {
+	if n.syncIdx >= deg {
 		n.syncIdx = 0
 	}
-	peer := n.neighborOrder[n.syncIdx]
-	n.syncIdx = (n.syncIdx + 1) % len(n.neighborOrder)
+	peer := n.neighbors.ids[n.syncIdx]
+	n.syncIdx = (n.syncIdx + 1) % deg
 	n.requestSync(peer, false)
 }
 
@@ -52,11 +53,11 @@ func (n *Node) requestSync(peer NodeID, force bool) {
 	}
 	now := n.env.Now()
 	if !force {
-		if last, ok := n.lastSyncTo[peer]; ok && now-last < n.cfg.SyncInterval {
+		if last, ok := n.lastSyncTo.get(peer); ok && now-last < n.cfg.SyncInterval {
 			return
 		}
 	}
-	n.lastSyncTo[peer] = now
+	n.lastSyncTo.put(peer, now)
 	n.stats.SyncRequestsSent++
 	// The outgoing digest must be freshly allocated: Send may deliver
 	// asynchronously (netsim holds the message until its event fires), so

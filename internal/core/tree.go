@@ -43,7 +43,7 @@ func (n *Node) advertiseTree(skip NodeID) {
 		return
 	}
 	adv := &TreeAdvert{Root: n.treeRoot, Epoch: n.treeEpoch, Wave: n.treeWave, Dist: n.distToRoot}
-	for _, id := range n.neighborOrder {
+	for _, id := range n.neighbors.ids {
 		if id == skip {
 			continue
 		}
@@ -73,7 +73,7 @@ func (n *Node) handleTreeAdvert(from NodeID, m *TreeAdvert) {
 	if !n.cfg.EnableTree {
 		return
 	}
-	nb := n.neighbors[from]
+	nb := n.neighbors.get(from)
 	if nb == nil {
 		return // adverts only travel over overlay links
 	}
@@ -136,7 +136,7 @@ func (n *Node) setParent(p NodeID) {
 	}
 	old := n.parent
 	if old != None {
-		if _, ok := n.neighbors[old]; ok {
+		if n.neighbors.has(old) {
 			n.env.Send(old, &TreeParent{On: false})
 		}
 	}
@@ -166,13 +166,8 @@ func (n *Node) observeTree(kind dtrace.Kind, cur, old NodeID, repaired bool) {
 
 // handleTreeParent maintains the children set.
 func (n *Node) handleTreeParent(from NodeID, m *TreeParent) {
-	if _, ok := n.neighbors[from]; !ok {
-		return
-	}
-	if m.On {
-		n.children[from] = true
-	} else {
-		delete(n.children, from)
+	if nb := n.neighbors.get(from); nb != nil {
+		nb.child = m.On
 	}
 }
 
@@ -188,7 +183,6 @@ func (n *Node) treeOnLinkUp(peer NodeID) {
 
 // treeOnLinkDown repairs tree state after an overlay link disappears.
 func (n *Node) treeOnLinkDown(peer NodeID) {
-	delete(n.children, peer)
 	if n.parent != peer {
 		return
 	}
@@ -209,9 +203,8 @@ func (n *Node) treeOnLinkDown(peer NodeID) {
 	// (healed at the next wave anyway, but avoid when we can).
 	best := None
 	var bestDist time.Duration = distInfinity
-	for _, id := range n.neighborOrder {
-		nb := n.neighbors[id]
-		if nb == nil || !nb.hasAdvert {
+	for _, nb := range n.neighbors.nbs {
+		if !nb.hasAdvert {
 			continue
 		}
 		a := nb.advert
@@ -219,7 +212,7 @@ func (n *Node) treeOnLinkDown(peer NodeID) {
 			continue
 		}
 		if d := a.Dist + n.linkLatency(nb); d < bestDist && d <= old {
-			bestDist, best = d, id
+			bestDist, best = d, nb.entry.ID
 		}
 	}
 	if best != None {
@@ -232,7 +225,7 @@ func (n *Node) treeOnLinkDown(peer NodeID) {
 	// re-attachment does not have to wait for the next heartbeat wave.
 	n.lostDist = old
 	req := &TreeAdvertReq{}
-	for _, id := range n.neighborOrder {
+	for _, id := range n.neighbors.ids {
 		n.env.Send(id, req)
 	}
 }
@@ -242,7 +235,7 @@ func (n *Node) handleTreeAdvertReq(from NodeID) {
 	if !n.cfg.EnableTree || n.distToRoot == distInfinity {
 		return
 	}
-	if _, ok := n.neighbors[from]; !ok {
+	if !n.neighbors.has(from) {
 		return
 	}
 	n.stats.TreeAdverts++
@@ -294,7 +287,7 @@ func (n *Node) DistToRoot() (time.Duration, bool) {
 // TreeNeighbors returns the node's current tree links (parent plus
 // children) in a deterministic order.
 func (n *Node) TreeNeighbors() []NodeID {
-	return n.appendTreeNeighbors(make([]NodeID, 0, len(n.children)+1))
+	return n.appendTreeNeighbors(make([]NodeID, 0, n.neighbors.len()+1))
 }
 
 // appendTreeNeighbors appends the tree links to dst in TreeNeighbors
@@ -303,9 +296,9 @@ func (n *Node) appendTreeNeighbors(dst []NodeID) []NodeID {
 	if n.parent != None {
 		dst = append(dst, n.parent)
 	}
-	for _, id := range n.neighborOrder {
-		if n.children[id] {
-			dst = append(dst, id)
+	for _, nb := range n.neighbors.nbs {
+		if nb.child {
+			dst = append(dst, nb.entry.ID)
 		}
 	}
 	return dst
@@ -316,7 +309,7 @@ func (n *Node) appendTreeNeighbors(dst []NodeID) []NodeID {
 func (n *Node) TreeLinkRTTs() []time.Duration {
 	var out []time.Duration
 	for _, id := range n.TreeNeighbors() {
-		if nb := n.neighbors[id]; nb != nil {
+		if nb := n.neighbors.get(id); nb != nil {
 			out = append(out, nb.rtt)
 		}
 	}
