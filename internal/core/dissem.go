@@ -131,11 +131,7 @@ func (n *Node) scrubRetiredSlots() {
 		return
 	}
 	var mask uint64
-	for _, s := range n.retiredSlots.slots {
-		if s.key != 0 {
-			mask |= 1 << s.val
-		}
-	}
+	n.retiredSlots.each(func(_ NodeID, slot *uint8) { mask |= 1 << *slot })
 	for _, id := range n.recent {
 		if st := n.seen[pid(id)]; st != nil {
 			st.announcedMask &^= mask

@@ -149,6 +149,17 @@ func (t *idTable[V]) clear() {
 	t.count = 0
 }
 
+// each calls f for every entry in slot order, with a pointer valid until
+// the next put or del; f must not put or del. Callers sort what they
+// collect or only aggregate.
+func (t *idTable[V]) each(f func(id NodeID, v *V)) {
+	for i := range t.slots {
+		if k := t.slots[i].key; k != 0 {
+			f(NodeID(k-1), &t.slots[i].val)
+		}
+	}
+}
+
 // appendKeys appends every key to dst in slot order; callers sort the
 // result or use it only as a set.
 func (t *idTable[V]) appendKeys(dst []NodeID) []NodeID {

@@ -33,14 +33,9 @@ func (n *Node) learnEntry(e Entry) {
 		n.stats.ObitsHonored++
 		return
 	}
-	n.mergeEntry(e, n.members.index(e.ID), n.neighbors.get(e.ID))
-}
-
-// mergeEntry is learnEntry past the obituary check. i is e.ID's index in
-// the view (-1 if absent) and nb its neighbor record (nil if none): one
-// lookup per structure serves every later test, including the rejoin
-// check.
-func (n *Node) mergeEntry(e Entry, i int, nb *neighbor) {
+	// One lookup per structure serves every later test, including the
+	// rejoin check.
+	i, nb := n.members.index(e.ID), n.neighbors.get(e.ID)
 	var old Entry
 	if i >= 0 {
 		old = n.members.at(i)
@@ -158,17 +153,11 @@ func (n *Node) recordObit(id NodeID, inc uint32, spread bool) {
 
 // knownInc returns the highest incarnation this node has recorded for id.
 func (n *Node) knownInc(id NodeID) uint32 {
-	return n.incOf(n.members.index(id), n.neighbors.get(id))
-}
-
-// incOf is knownInc over looked-up state: i is the peer's view index (-1
-// if absent), nb its neighbor record (nil if none).
-func (n *Node) incOf(i int, nb *neighbor) uint32 {
 	var inc uint32
-	if nb != nil {
+	if nb := n.neighbors.get(id); nb != nil {
 		inc = nb.entry.Inc
 	}
-	if i >= 0 && n.members.entries[i].Inc > inc {
+	if i := n.members.index(id); i >= 0 && n.members.entries[i].Inc > inc {
 		inc = n.members.entries[i].Inc
 	}
 	return inc
@@ -190,34 +179,6 @@ func (n *Node) staleSender(e Entry) bool {
 		return true
 	}
 	return false
-}
-
-// admitSender is staleSender followed, for a sender it does not reject,
-// by learnEntry: it reports false (and counts) for a stale sender entry,
-// and otherwise merges the entry, looking each structure up once for
-// both steps.
-func (n *Node) admitSender(e Entry) bool {
-	if e.ID == n.id || e.ID == None {
-		return true
-	}
-	ob, hasOb := n.obits.get(e.ID)
-	if hasOb && e.Inc <= ob.Inc && n.env.Now() < ob.Until {
-		n.stats.StaleIncRejects++
-		return false
-	}
-	i, nb := n.members.index(e.ID), n.neighbors.get(e.ID)
-	if e.Inc < n.incOf(i, nb) {
-		n.stats.StaleIncRejects++
-		return false
-	}
-	// What is left of obitBlocks: a higher incarnation clears the
-	// obituary; an expired one at or below it blocks nothing.
-	if hasOb && e.Inc > ob.Inc {
-		n.obits.del(e.ID)
-		n.stats.RejoinsObserved++
-	}
-	n.mergeEntry(e, i, nb)
-	return true
 }
 
 // appendActiveObits appends the unexpired spreading obituaries

@@ -16,8 +16,8 @@ func (t *memberTable) len() int { return len(t.entries) }
 // index returns id's dense index, or -1 if id is not in the view. It is
 // invalidated by any add or remove.
 func (t *memberTable) index(id NodeID) int {
-	if s := t.pos.find(id); s >= 0 {
-		return int(t.pos.slots[s].val)
+	if i, ok := t.pos.get(id); ok {
+		return int(i)
 	}
 	return -1
 }

@@ -443,9 +443,10 @@ func (n *Node) PeerDown(peer NodeID) {
 // handleJoinRequest answers with a membership sample, the landmark set,
 // and the current root.
 func (n *Node) handleJoinRequest(from NodeID, m *JoinRequest) {
-	if !n.admitSender(m.From) {
+	if n.staleSender(m.From) {
 		return
 	}
+	n.learnEntry(m.From)
 	reply := &JoinReply{
 		Members:   n.sampleMembers(n.cfg.MemberViewSize, m.From.ID),
 		Landmarks: append([]Entry(nil), n.landmarks...),

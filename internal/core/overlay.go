@@ -63,13 +63,11 @@ func (n *Node) maintainTick() {
 func (n *Node) expireOps() {
 	now := n.env.Now()
 	var expired []NodeID
-	if n.pendingAdd.len() > 0 {
-		for i := range n.pendingAdd.slots {
-			if s := &n.pendingAdd.slots[i]; s.key != 0 && now-s.val.startedAt > opTimeout {
-				expired = append(expired, s.val.target.ID)
-			}
+	n.pendingAdd.each(func(_ NodeID, ctx *addCtx) {
+		if now-ctx.startedAt > opTimeout {
+			expired = append(expired, ctx.target.ID)
 		}
-	}
+	})
 	sortNodeIDs(expired)
 	for _, id := range expired {
 		ctx, _ := n.pendingAdd.get(id)
@@ -387,7 +385,7 @@ func (n *Node) requestAddFull(e Entry, kind LinkKind, rtt time.Duration, purpose
 // handleAddRequest decides whether to accept a new neighbor, enforcing
 // the degree caps of Section 2.2.1 and the worst-link condition.
 func (n *Node) handleAddRequest(from NodeID, m *AddRequest) {
-	if !n.admitSender(m.From) {
+	if n.staleSender(m.From) {
 		// A dead past life must never be linked to: reject outright.
 		n.env.Send(from, &AddReply{
 			From:         n.selfEntry(),
@@ -399,6 +397,7 @@ func (n *Node) handleAddRequest(from NodeID, m *AddRequest) {
 		})
 		return
 	}
+	n.learnEntry(m.From)
 	accepted := false
 	if n.neighbors.has(from) {
 		accepted = true // idempotent: link exists

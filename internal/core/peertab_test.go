@@ -278,54 +278,6 @@ func TestLearnEntryAllocFree(t *testing.T) {
 	}
 }
 
-// TestAdmitSenderMatchesStaleThenLearn drives two identical nodes through
-// the same random merges, obituaries, links and clock steps, and checks
-// that the fused admitSender on one always matches staleSender followed
-// by learnEntry on the other: same verdict, counters, view, obituaries
-// and links.
-func TestAdmitSenderMatchesStaleThenLearn(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cfg := DefaultConfig()
-	cfg.MemberViewSize = 8
-	ea, eb := &dropEnv{}, &dropEnv{}
-	a, b := New(1, cfg, ea), New(1, cfg, eb)
-	both := func(f func(n *Node)) { f(a); f(b) }
-	for step := 0; step < 20000; step++ {
-		e := Entry{ID: NodeID(1 + rng.Intn(16)), Inc: uint32(rng.Intn(4))}
-		switch rng.Intn(6) {
-		case 0:
-			both(func(n *Node) { n.learnEntry(e) })
-		case 1:
-			spread := rng.Intn(2) == 0
-			both(func(n *Node) { n.recordObit(e.ID, e.Inc, spread) })
-		case 2:
-			if a.Degree() < 4 {
-				both(func(n *Node) { n.AddNeighborDirect(e, Random, time.Millisecond) })
-			}
-		case 3:
-			d := time.Duration(rng.Int63n(int64(cfg.QuarantineWindow)))
-			ea.now += d
-			eb.now += d
-		default:
-			got := a.admitSender(e)
-			want := !b.staleSender(e)
-			if want {
-				b.learnEntry(e)
-			}
-			if got != want {
-				t.Fatalf("step %d: admitSender(%+v) = %v, staleSender+learnEntry admits %v", step, e, got, want)
-			}
-		}
-		if a.stats != b.stats {
-			t.Fatalf("step %d: counters differ:\n%+v\n%+v", step, a.stats, b.stats)
-		}
-		if !reflect.DeepEqual(a.Members(), b.Members()) || !reflect.DeepEqual(a.Obituaries(), b.Obituaries()) ||
-			!reflect.DeepEqual(a.Neighbors(), b.Neighbors()) {
-			t.Fatalf("step %d: state differs after %+v", step, e)
-		}
-	}
-}
-
 // TestFindPingAcrossNonceWrap checks the nonce search of the outstanding
 // ping FIFO, including a window that wraps past the largest nonce.
 func TestFindPingAcrossNonceWrap(t *testing.T) {

@@ -129,9 +129,10 @@ func (n *Node) sendPing(to NodeID, ctx pingCtx) {
 // handlePing answers with the node's degrees; pings also spread contact
 // information.
 func (n *Node) handlePing(from NodeID, m *Ping) {
-	if !n.admitSender(m.From) {
+	if n.staleSender(m.From) {
 		return // no pong for a dead past life
 	}
+	n.learnEntry(m.From)
 	n.env.SendDatagram(from, &Pong{From: n.selfEntry(), Nonce: m.Nonce, Degrees: n.degrees()})
 }
 
