@@ -481,10 +481,11 @@ func (n *Node) reannounceTo(peer NodeID) {
 	n.requestSync(peer, false)
 }
 
-// handleGossip ingests a summary from neighbor `from`.
-func (n *Node) handleGossip(from NodeID, g *Gossip) {
+// handleGossip ingests a summary from neighbor `from`; nb is its record
+// as HandleMessage looked it up (nil if from is not a neighbor).
+func (n *Node) handleGossip(from NodeID, nb *neighbor, g *Gossip) {
 	n.stats.GossipsRecv++
-	if nb := n.neighbors.get(from); nb != nil {
+	if nb != nil {
 		nb.deg = g.Degrees
 		nb.degKnown = true
 	}

@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // idTable is a flat hash map keyed by NodeID: one slot array, open
 // addressing with linear probing, and backward-shift deletion (no
 // tombstones). The per-peer tables use it instead of map[NodeID]V because
@@ -29,6 +31,9 @@ type idSlot[V any] struct {
 const idTableMinSlots = 8
 
 func (t *idTable[V]) len() int { return t.count }
+
+// bytes returns the size of the slot array.
+func (t *idTable[V]) bytes() int { return len(t.slots) * int(unsafe.Sizeof(idSlot[V]{})) }
 
 // home is the slot a key hashes to (Fibonacci hashing: the top bits of
 // the product, so consecutive IDs spread over the whole table).
@@ -153,6 +158,9 @@ func (t *idTable[V]) clear() {
 // the next put or del; f must not put or del. Callers sort what they
 // collect or only aggregate.
 func (t *idTable[V]) each(f func(id NodeID, v *V)) {
+	if t.count == 0 {
+		return
+	}
 	for i := range t.slots {
 		if k := t.slots[i].key; k != 0 {
 			f(NodeID(k-1), &t.slots[i].val)
@@ -163,6 +171,9 @@ func (t *idTable[V]) each(f func(id NodeID, v *V)) {
 // appendKeys appends every key to dst in slot order; callers sort the
 // result or use it only as a set.
 func (t *idTable[V]) appendKeys(dst []NodeID) []NodeID {
+	if t.count == 0 {
+		return dst
+	}
 	for i := range t.slots {
 		if k := t.slots[i].key; k != 0 {
 			dst = append(dst, NodeID(k-1))

@@ -36,10 +36,10 @@ func (n *Node) learnEntry(e Entry) {
 	// One lookup per structure serves every later test, including the
 	// rejoin check.
 	i, nb := n.members.index(e.ID), n.neighbors.get(e.ID)
-	var old Entry
+	var old viewRec
 	if i >= 0 {
-		old = n.members.at(i)
-		if e.Inc < old.Inc {
+		old = n.members.recs[i]
+		if e.Inc < old.inc {
 			n.stats.StaleIncRejects++
 			return
 		}
@@ -50,21 +50,18 @@ func (n *Node) learnEntry(e Entry) {
 	}
 	n.env.Learn(e)
 	staleLink := nb != nil && e.Inc > nb.entry.Inc
-	if staleLink || (i >= 0 && e.Inc > old.Inc) {
+	if staleLink || (i >= 0 && e.Inc > old.inc) {
 		n.noteRejoin(e.ID, staleLink)
 	}
 	if i >= 0 {
-		if e.Inc > old.Inc || len(e.Landmarks) > 0 || len(old.Landmarks) == 0 {
+		if e.Inc > old.inc || e.Landmarks.Len() > 0 || old.lm.Len() == 0 {
 			// Steady-state gossip re-delivers the same entry constantly
-			// (senders hand out one cached landmark slice, so identity
-			// comparison of the slice headers catches the common case);
-			// skip the table write when the stored value would not change.
-			// noteRejoin touches neither the view nor its index, so i
-			// still names e.ID's slot.
-			if e.Inc != old.Inc || e.Addr != old.Addr ||
-				len(e.Landmarks) != len(old.Landmarks) ||
-				(len(e.Landmarks) > 0 && &e.Landmarks[0] != &old.Landmarks[0]) {
-				n.members.entries[i] = e
+			// (senders hand out one shared landmark vector, so comparing
+			// the pointers catches the common case); skip the table write
+			// when the stored value would not change. noteRejoin touches
+			// neither the view nor its index, so i still names e.ID's slot.
+			if e.Inc != old.inc || e.Landmarks != old.lm || e.Addr != n.members.addr(i) {
+				n.members.set(i, e)
 			}
 		}
 		return
@@ -72,10 +69,10 @@ func (n *Node) learnEntry(e Entry) {
 	if n.members.len() >= n.cfg.MemberViewSize {
 		// Evict a random entry that is not a current neighbor.
 		victim := n.randomMember(n.notNeighbor)
-		if victim == None {
+		if victim < 0 {
 			return
 		}
-		n.forgetMember(victim)
+		n.forgetMemberAt(victim)
 	}
 	n.members.add(e)
 }
@@ -128,7 +125,7 @@ func (n *Node) recordObit(id NodeID, inc uint32, spread bool) {
 	if id == n.id || id == None {
 		return
 	}
-	if cur, ok := n.members.get(id); ok && cur.Inc > inc {
+	if i := n.members.index(id); i >= 0 && n.members.recs[i].inc > inc {
 		return // a newer life is already known; the obituary is stale
 	}
 	if ob := n.obits.ptr(id); ob != nil {
@@ -157,8 +154,8 @@ func (n *Node) knownInc(id NodeID) uint32 {
 	if nb := n.neighbors.get(id); nb != nil {
 		inc = nb.entry.Inc
 	}
-	if i := n.members.index(id); i >= 0 && n.members.entries[i].Inc > inc {
-		inc = n.members.entries[i].Inc
+	if i := n.members.index(id); i >= 0 && n.members.recs[i].inc > inc {
+		inc = n.members.recs[i].inc
 	}
 	return inc
 }
@@ -238,11 +235,14 @@ func (n *Node) Obituaries() []Obituary {
 
 // forgetMember removes a node from the view (e.g. it was found dead).
 func (n *Node) forgetMember(id NodeID) {
-	i := n.members.remove(id)
-	if i < 0 {
-		return
+	if i := n.members.index(id); i >= 0 {
+		n.forgetMemberAt(i)
 	}
-	n.lastPong.del(id)
+}
+
+// forgetMemberAt removes the view entry at dense index i.
+func (n *Node) forgetMemberAt(i int) {
+	n.lastPong.del(n.members.removeAt(i))
 	// The swap-remove moved the former tail into slot i; keep the
 	// round-robin cursor in range (exact fairness across a removal is not
 	// required, staying deterministic is).
@@ -264,7 +264,11 @@ func (n *Node) MemberCount() int { return n.members.len() }
 
 // Members returns a copy of the current partial view.
 func (n *Node) Members() []Entry {
-	return append([]Entry(nil), n.members.entries...)
+	out := make([]Entry, n.members.len())
+	for i := range out {
+		out[i] = n.members.at(i)
+	}
+	return out
 }
 
 // sampleMembers returns up to k random entries, excluding `exclude`
@@ -300,38 +304,36 @@ func (n *Node) appendSampleMembers(out []Entry, k int, exclude NodeID) []Entry {
 }
 
 // selfEntry returns this node's own membership entry including its
-// current landmark vector. The vector copy is cached until landVec
-// changes; on change a fresh slice is allocated rather than rewriting the
-// cached one, because receivers keep the returned slice in their views.
+// current landmark vector. The vector is built once per change of landVec
+// (selfLm is reset to nil on every change): receivers keep the shared
+// vector in their views, so it is never rewritten in place.
 func (n *Node) selfEntry() Entry {
 	e := n.self
 	if len(n.landVec) > 0 {
-		if !n.selfLmOK {
-			n.selfLm = append([]uint16(nil), n.landVec...)
-			n.selfLmOK = true
+		if n.selfLm == nil {
+			n.selfLm = NewLandmarkVec(n.landVec...)
 		}
 		e.Landmarks = n.selfLm
 	}
 	return e
 }
 
-// randomMember picks a uniformly random member satisfying ok (nil = any),
-// or None if none qualifies.
-func (n *Node) randomMember(ok func(NodeID) bool) NodeID {
+// randomMember picks a uniformly random member satisfying ok (nil = any)
+// and returns its dense index, or -1 if none qualifies.
+func (n *Node) randomMember(ok func(NodeID) bool) int {
 	m := n.members.len()
 	if m == 0 {
-		return None
+		return -1
 	}
 	for i, j := 0, n.env.Rand(m); i < m; i++ {
-		id := n.members.entries[j].ID
-		if ok == nil || ok(id) {
-			return id
+		if ok == nil || ok(n.members.recs[j].id) {
+			return j
 		}
 		if j++; j == m {
 			j = 0
 		}
 	}
-	return None
+	return -1
 }
 
 // nextCandidate returns the next neighbor candidate to consider. While the
@@ -371,8 +373,8 @@ func (n *Node) buildEstimatePass() {
 		est int64
 	}
 	cands := make([]cand, 0, n.members.len())
-	for _, e := range n.members.entries {
-		cands = append(cands, cand{id: e.ID, est: int64(n.estimateRTT(e))})
+	for _, r := range n.members.recs {
+		cands = append(cands, cand{id: r.id, est: int64(n.estimateRTT(r.lm))})
 	}
 	// Insertion sort with ID tie-break: views are small and the order must
 	// be deterministic.

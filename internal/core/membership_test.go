@@ -22,14 +22,14 @@ func TestLearnEntryUpgradesLandmarkVector(t *testing.T) {
 	f := newFixture(1)
 	n := f.addNode(1, DefaultConfig())
 	n.learnEntry(Entry{ID: 2})
-	n.learnEntry(Entry{ID: 2, Landmarks: []uint16{10, 20}})
+	n.learnEntry(Entry{ID: 2, Landmarks: NewLandmarkVec(10, 20)})
 	ms := n.Members()
-	if len(ms) != 1 || len(ms[0].Landmarks) != 2 {
+	if len(ms) != 1 || ms[0].Landmarks.Len() != 2 {
 		t.Fatalf("vector-carrying entry should replace the bare one: %+v", ms)
 	}
 	// A bare entry must not erase a known vector.
 	n.learnEntry(Entry{ID: 2})
-	if ms = n.Members(); len(ms[0].Landmarks) != 2 {
+	if ms = n.Members(); ms[0].Landmarks.Len() != 2 {
 		t.Fatalf("bare entry erased the landmark vector")
 	}
 }
@@ -99,11 +99,11 @@ func TestRandomMemberFilter(t *testing.T) {
 		n.learnEntry(Entry{ID: i})
 	}
 	got := n.randomMember(func(id NodeID) bool { return id == 5 })
-	if got != 5 {
-		t.Fatalf("randomMember with filter = %d, want 5", got)
+	if got < 0 || n.members.at(got).ID != 5 {
+		t.Fatalf("randomMember with filter = index %d, want the index of 5", got)
 	}
-	if got := n.randomMember(func(NodeID) bool { return false }); got != None {
-		t.Fatalf("impossible filter should return None, got %d", got)
+	if got := n.randomMember(func(NodeID) bool { return false }); got != -1 {
+		t.Fatalf("impossible filter should return -1, got %d", got)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestEstimateRTTTriangulation(t *testing.T) {
 	n := f.addNode(1, DefaultConfig())
 	n.landVec = []uint16{100, 50, 200}
 	// Same vectors: lower bound 0, upper 2*min(a_i) -> small estimate.
-	near := n.estimateRTT(Entry{ID: 2, Landmarks: []uint16{100, 50, 200}})
-	far := n.estimateRTT(Entry{ID: 3, Landmarks: []uint16{400, 350, 500}})
+	near := n.estimateRTT(NewLandmarkVec(100, 50, 200))
+	far := n.estimateRTT(NewLandmarkVec(400, 350, 500))
 	if near >= far {
 		t.Fatalf("estimate(similar)=%v should be < estimate(distant)=%v", near, far)
 	}
@@ -155,13 +155,13 @@ func TestEstimateRTTUnknownSortsLast(t *testing.T) {
 	f := newFixture(1)
 	n := f.addNode(1, DefaultConfig())
 	n.landVec = []uint16{100}
-	unknown := n.estimateRTT(Entry{ID: 2})
-	known := n.estimateRTT(Entry{ID: 3, Landmarks: []uint16{150}})
+	unknown := n.estimateRTT(nil)
+	known := n.estimateRTT(NewLandmarkVec(150))
 	if unknown <= known {
 		t.Fatalf("vector-less node should estimate worse than any measured node")
 	}
 	// Zero (unmeasured) slots are skipped.
-	zeroed := n.estimateRTT(Entry{ID: 4, Landmarks: []uint16{0}})
+	zeroed := n.estimateRTT(NewLandmarkVec(0))
 	if zeroed != unknown {
 		t.Fatalf("all-zero vector should behave as unknown")
 	}
@@ -171,9 +171,9 @@ func TestBuildEstimatePassOrdersByEstimate(t *testing.T) {
 	f := newFixture(1)
 	n := f.addNode(1, DefaultConfig())
 	n.landVec = []uint16{100}
-	n.learnEntry(Entry{ID: 2, Landmarks: []uint16{300}}) // est ~ (200+400)/2
-	n.learnEntry(Entry{ID: 3, Landmarks: []uint16{110}}) // est ~ (10+210)/2
-	n.learnEntry(Entry{ID: 4, Landmarks: []uint16{180}}) // est ~ (80+280)/2
+	n.learnEntry(Entry{ID: 2, Landmarks: NewLandmarkVec(300)}) // est ~ (200+400)/2
+	n.learnEntry(Entry{ID: 3, Landmarks: NewLandmarkVec(110)}) // est ~ (10+210)/2
+	n.learnEntry(Entry{ID: 4, Landmarks: NewLandmarkVec(180)}) // est ~ (80+280)/2
 	n.buildEstimatePass()
 	want := []NodeID{3, 4, 2}
 	if len(n.estimated) != 3 {
@@ -209,7 +209,7 @@ func TestPropertyEstimateWithinBounds(t *testing.T) {
 			}
 		}
 		n.landVec = mine
-		est := n.estimateRTT(Entry{ID: 2, Landmarks: theirs})
+		est := n.estimateRTT(NewLandmarkVec(theirs...))
 		m := len(mine)
 		if len(theirs) < m {
 			m = len(theirs)

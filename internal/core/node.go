@@ -19,7 +19,6 @@ type DeliverFunc func(id MessageID, payload []byte, age time.Duration)
 type Node struct {
 	id   NodeID
 	self Entry
-	cfg  Config
 	env  Env
 
 	running     bool
@@ -36,14 +35,11 @@ type Node struct {
 	// obits quarantines dead or departed incarnations so stale in-flight
 	// gossip cannot resurrect them (see membership.go).
 	obits idTable[obitRecord]
-	// First-pass candidate list sorted by estimated latency; nil until
-	// built, emptied as candidates are probed.
-	estimated []NodeID
 
-	// Measured RTT cache and landmark state (triangulated estimation).
-	rtt       idTable[time.Duration]
-	landmarks []Entry
-	landVec   []uint16 // my RTT to each landmark, ms; 0 = unmeasured
+	// Measured RTT cache in nanoseconds (below pingTimeout, so 32 bits
+	// suffice) and this node's landmark vector (triangulated estimation).
+	rtt     idTable[uint32]
+	landVec []uint16 // my RTT to each landmark, ms; 0 = unmeasured
 	// pings holds the outstanding pings in send (= nonce) order.
 	pings     []pingCtx
 	pingNonce uint32
@@ -57,6 +53,13 @@ type Node struct {
 	neighbors  neighborList
 	pendingAdd idTable[addCtx]
 	rebalance  *rebalanceCtx
+	// degCache caches degrees(); degCacheOK is cleared whenever the
+	// neighbor set or a nearby link's RTT changes.
+	degCache   Degrees
+	degCacheOK bool
+	// selfLm caches the landmark vector handed out in selfEntry; it is
+	// reset to nil whenever landVec changes.
+	selfLm *LandmarkVec
 
 	// Neighbor-slot allocation for the per-message bitmasks (see
 	// dissem.go). slotUsed marks slots taken by live or retired holders;
@@ -66,6 +69,17 @@ type Node struct {
 	slotUsed     uint64
 	liveMask     uint64
 	retiredSlots idTable[uint8]
+
+	// The fields above are the overlay state that the membership merge
+	// and the gossip and maintenance rounds touch on nearly every event;
+	// the configuration and the dissemination, sync and tree state follow,
+	// so that the hot fields share as few cache lines as possible.
+	cfg Config
+	// First-pass candidate list sorted by estimated latency; nil until
+	// built, emptied as candidates are probed.
+	estimated []NodeID
+	// landmarks is the installed landmark set.
+	landmarks []Entry
 
 	// Dissemination state (Section 2.1). Payload buffering, retention,
 	// and reclamation are delegated to the pluggable store; seen keeps the
@@ -114,8 +128,6 @@ type Node struct {
 	reclaimTimer  Timer
 	syncTimer     Timer
 
-	stats Counters
-
 	// obs, when non-nil, receives one telemetry record per protocol fact
 	// (see observe.go). Nil keeps every emission site a single branch.
 	obs Observer
@@ -140,14 +152,6 @@ type Node struct {
 	msgFree     []*msgState
 	pullFree    []*pullState
 	obitScratch []NodeID
-	// selfLm caches the landmark-vector copy handed out in selfEntry;
-	// selfLmOK is cleared whenever landVec changes.
-	selfLm   []uint16
-	selfLmOK bool
-	// degCache caches degrees(); degCacheOK is cleared whenever the
-	// neighbor set or a nearby link's RTT changes.
-	degCache   Degrees
-	degCacheOK bool
 
 	// Periodic-tick callbacks are bound once at construction: method
 	// values allocate per use, and the ticks re-arm every period.
@@ -162,6 +166,8 @@ type Node struct {
 	// root record that ends the detachment.
 	repairing  bool
 	detachedAt time.Duration
+
+	stats Counters
 }
 
 // distInfinity marks an unknown distance to the tree root.
@@ -262,6 +268,8 @@ func New(id NodeID, cfg Config, env Env) *Node {
 		parent:      None,
 		distToRoot:  distInfinity,
 	}
+	// The view never outgrows MemberViewSize: size it once.
+	n.members.recs = make([]viewRec, 0, cfg.MemberViewSize)
 	if p, ok := env.(MessagePool); ok {
 		n.pool = p
 	}
@@ -375,7 +383,8 @@ func (n *Node) HandleMessage(from NodeID, m Message) {
 	if !n.running {
 		return
 	}
-	if nb := n.neighbors.get(from); nb != nil {
+	nb := n.neighbors.get(from)
+	if nb != nil {
 		nb.lastHeard = n.env.Now()
 	}
 	switch msg := m.(type) {
@@ -398,7 +407,7 @@ func (n *Node) HandleMessage(from NodeID, m Message) {
 	case *RebalanceReply:
 		n.handleRebalanceReply(from, msg)
 	case *Gossip:
-		n.handleGossip(from, msg)
+		n.handleGossip(from, nb, msg)
 	case *PullRequest:
 		n.handlePullRequest(from, msg)
 	case *Multicast:

@@ -150,7 +150,7 @@ func TestSelfEntryCarriesLandmarkVector(t *testing.T) {
 	b.Start()
 	f.run(2 * time.Second) // landmark ping measured
 	e := a.selfEntry()
-	if len(e.Landmarks) != 1 || e.Landmarks[0] == 0 {
+	if e.Landmarks.Len() != 1 || e.Landmarks.At(0) == 0 {
 		t.Fatalf("self entry landmark vector = %v, want measured", e.Landmarks)
 	}
 }

@@ -47,7 +47,7 @@ func (n *Node) maintainTick() {
 	if !n.running {
 		return
 	}
-	n.maintainTimer = n.env.After(n.cfg.MaintainPeriod, n.maintainTick)
+	n.maintainTimer = n.env.After(n.cfg.MaintainPeriod, n.tickMaintain)
 	if !n.maintenance {
 		return
 	}
@@ -133,10 +133,11 @@ func (n *Node) maintainRandom() {
 
 // tryFillRandom starts adding one random neighbor.
 func (n *Node) tryFillRandom() {
-	id := n.randomMember(func(id NodeID) bool { return !n.linkedOrPending(id) })
-	if id == None {
+	i := n.randomMember(func(id NodeID) bool { return !n.linkedOrPending(id) })
+	if i < 0 {
 		return
 	}
+	id := n.members.recs[i].id
 	n.sendPing(id, pingCtx{target: id, purpose: pingProbeAddRandom})
 }
 
@@ -199,7 +200,7 @@ func (n *Node) handleRebalance(from NodeID, m *Rebalance) {
 		return
 	}
 	n.learnEntry(t)
-	rtt, _ := n.rtt.get(t.ID)
+	rtt, _ := n.measuredRTT(t.ID)
 	n.requestAddFull(t, Random, rtt, addRebalanceLink, from)
 }
 
@@ -279,7 +280,7 @@ func (n *Node) tryAddNearby() {
 	if !ok {
 		return
 	}
-	if rtt, known := n.rtt.get(cand.ID); known {
+	if rtt, known := n.measuredRTT(cand.ID); known {
 		n.resumeAddNearby(cand, rtt, Degrees{}) // degrees re-checked by acceptor
 		return
 	}
@@ -503,7 +504,7 @@ func (n *Node) addNeighbor(e Entry, kind LinkKind, rtt time.Duration) {
 	}
 	n.learnEntry(e)
 	if rtt == 0 {
-		if known, _ := n.rtt.get(e.ID); known > 0 {
+		if known, _ := n.measuredRTT(e.ID); known > 0 {
 			rtt = known
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // checkIDTable compares the table with a reference map and checks the
@@ -251,7 +252,7 @@ func TestLearnEntryAllocFree(t *testing.T) {
 	const runs = 1000
 	cfg := DefaultConfig()
 	n := New(1, cfg, &dropEnv{})
-	lm := []uint16{10, 20, 30}
+	lm := NewLandmarkVec(10, 20, 30)
 	for i := 0; i < cfg.MemberViewSize; i++ {
 		n.learnEntry(Entry{ID: NodeID(100 + i), Landmarks: lm})
 	}
@@ -315,5 +316,59 @@ func TestPongWithForeignEntryIgnored(t *testing.T) {
 	n.HandleMessage(2, &Pong{From: Entry{ID: 2}, Nonce: n.pingNonce})
 	if len(n.pings) != 0 || !n.pendingAdd.has(2) {
 		t.Fatalf("matching pong: %d pings outstanding, add to 2 pending %v; want 0 and true", len(n.pings), n.pendingAdd.has(2))
+	}
+}
+
+// TestLatePongCountsAsLost checks that a pong answering a ping older than
+// pingTimeout is ignored even before expirePings has run: the ping stays
+// outstanding for expirePings to judge, and no RTT past the cache's
+// 32-bit slots is recorded.
+func TestLatePongCountsAsLost(t *testing.T) {
+	env := &sendLog{}
+	n := New(1, DefaultConfig(), env)
+	n.Start()
+	n.learnEntry(Entry{ID: 2})
+	n.sendPing(2, pingCtx{target: 2, purpose: pingProbeAddRandom})
+	env.now = pingTimeout + time.Nanosecond
+	n.HandleMessage(2, &Pong{From: Entry{ID: 2}, Nonce: n.pingNonce})
+	if len(n.pings) != 1 || n.rtt.has(2) || n.lastPong.has(2) || n.pendingAdd.len() != 0 {
+		t.Fatalf("late pong: %d pings outstanding, rtt cached %v, pong time kept %v, %d adds pending; want 1, false, false, 0",
+			len(n.pings), n.rtt.has(2), n.lastPong.has(2), n.pendingAdd.len())
+	}
+	n.expirePings()
+	if len(n.pings) != 0 || n.members.has(2) {
+		t.Fatalf("expirePings kept the lost ping (%d outstanding) or its target (%v)", len(n.pings), n.members.has(2))
+	}
+
+	// At exactly pingTimeout the pong still counts.
+	n.learnEntry(Entry{ID: 3})
+	n.sendPing(3, pingCtx{target: 3, purpose: pingMeasureLink})
+	env.now += pingTimeout
+	n.HandleMessage(3, &Pong{From: Entry{ID: 3}, Nonce: n.pingNonce})
+	if rtt, ok := n.measuredRTT(3); !ok || rtt != pingTimeout {
+		t.Fatalf("pong at the timeout: cached RTT %v, %v; want %v", rtt, ok, pingTimeout)
+	}
+}
+
+// TestMaintainTickAllocFree checks that a maintenance tick on an idle
+// node allocates nothing: the tick re-arms itself with the callback bound
+// once in New, not with a fresh method value.
+func TestMaintainTickAllocFree(t *testing.T) {
+	n := New(1, DefaultConfig(), &dropEnv{})
+	n.Start()
+	if allocs := testing.AllocsPerRun(100, n.maintainTick); allocs != 0 {
+		t.Fatalf("maintenance tick allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestRecordSizes pins the sizes the per-peer tables are laid out for:
+// an Entry shares its landmark vector, and a view record drops the
+// address into its own column.
+func TestRecordSizes(t *testing.T) {
+	if s := unsafe.Sizeof(Entry{}); s != 32 {
+		t.Errorf("Entry is %d bytes, want 32", s)
+	}
+	if s := unsafe.Sizeof(viewRec{}); s != 16 {
+		t.Errorf("view record is %d bytes, want 16", s)
 	}
 }

@@ -38,7 +38,7 @@ type pingCtx struct {
 func (n *Node) SetLandmarks(ls []Entry) {
 	n.landmarks = append([]Entry(nil), ls...)
 	n.landVec = make([]uint16, len(ls))
-	n.selfLmOK = false
+	n.selfLm = nil
 	for _, e := range ls {
 		n.learnEntry(e)
 	}
@@ -52,7 +52,7 @@ func (n *Node) measureLandmarks() {
 	for i, lm := range n.landmarks {
 		if lm.ID == n.id {
 			n.landVec[i] = 1 // RTT to self: local loopback, ~1 ms
-			n.selfLmOK = false
+			n.selfLm = nil
 			continue
 		}
 		n.sendPing(lm.ID, pingCtx{target: lm.ID, purpose: pingLandmark, landmark: i})
@@ -78,19 +78,19 @@ func (n *Node) landmarksReady() bool {
 // triangular heuristic: for every landmark i, |a_i - b_i| is a lower bound
 // and a_i + b_i an upper bound on the pair RTT; the estimate is the
 // midpoint of the tightest bounds. Nodes without vectors sort last.
-func (n *Node) estimateRTT(e Entry) time.Duration {
+func (n *Node) estimateRTT(lm *LandmarkVec) time.Duration {
 	const unknown = time.Hour
-	if len(e.Landmarks) == 0 || len(n.landVec) == 0 {
+	if lm.Len() == 0 || len(n.landVec) == 0 {
 		return unknown
 	}
 	lower, upper := int64(0), int64(1<<62)
 	found := false
 	m := len(n.landVec)
-	if len(e.Landmarks) < m {
-		m = len(e.Landmarks)
+	if lm.Len() < m {
+		m = lm.Len()
 	}
 	for i := 0; i < m; i++ {
-		a, b := int64(n.landVec[i]), int64(e.Landmarks[i])
+		a, b := int64(n.landVec[i]), int64(lm.At(i))
 		if a == 0 || b == 0 {
 			continue
 		}
@@ -150,12 +150,18 @@ func (n *Node) handlePong(from NodeID, m *Pong) {
 		return
 	}
 	ctx := n.pings[i]
-	n.pings = append(n.pings[:i], n.pings[i+1:]...)
 	rtt := n.env.Now() - ctx.sentAt
+	if rtt > pingTimeout {
+		// The ping timed out: it counts as lost whether or not expirePings
+		// has run since, so the decision does not depend on MaintainPeriod
+		// and every cached RTT fits the cache's 32-bit slots.
+		return
+	}
+	n.pings = append(n.pings[:i], n.pings[i+1:]...)
 	if rtt <= 0 {
 		rtt = time.Millisecond
 	}
-	n.rtt.put(from, rtt)
+	n.rtt.put(from, uint32(rtt))
 	n.lastPong.put(from, n.env.Now())
 	n.learnEntry(m.From)
 	if nb := n.neighbors.get(from); nb != nil {
@@ -177,7 +183,7 @@ func (n *Node) handlePong(from NodeID, m *Pong) {
 				ms = 0xffff
 			}
 			n.landVec[ctx.landmark] = uint16(ms)
-			n.selfLmOK = false
+			n.selfLm = nil
 		}
 	case pingProbeReplace:
 		n.resumeReplace(m.From, rtt, m.Degrees)
@@ -242,4 +248,15 @@ func (n *Node) expirePings() {
 	n.pings = n.pings[:copy(n.pings, n.pings[k:])]
 }
 
+// pingTimeout bounds every measured RTT, so the RTT cache stores
+// nanoseconds in 32 bits (up to 4.29 s).
 const pingTimeout = 3 * time.Second
+
+// The conversion fails to compile if pingTimeout outgrows the slots.
+const _ = uint32(pingTimeout)
+
+// measuredRTT returns the cached RTT measured to id, if any.
+func (n *Node) measuredRTT(id NodeID) (time.Duration, bool) {
+	ns, ok := n.rtt.get(id)
+	return time.Duration(ns), ok
+}

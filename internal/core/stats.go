@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // Counters accumulates per-node protocol activity. All fields are event
 // counts since the node was created.
 type Counters struct {
@@ -61,3 +63,47 @@ type Counters struct {
 
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() Counters { return n.stats }
+
+// StateBytes itemizes the memory a node's per-peer state pins: for each
+// table the capacity of its backing arrays times the element size, plus
+// the Node struct itself. It measures the working set every simulated
+// event draws from, not what the tables currently use.
+type StateBytes struct {
+	Node         int // the Node struct
+	View         int // member records and, if allocated, their address column
+	ViewIndex    int // NodeID -> view position
+	RTT          int // measured-RTT cache
+	LastPong     int
+	Obits        int
+	PendingAdd   int
+	RetiredSlots int
+	LastSyncTo   int
+	Neighbors    int // the ordered ID and record slices plus the records
+	Pings        int // outstanding pings
+}
+
+// Total sums every item.
+func (s StateBytes) Total() int {
+	return s.Node + s.View + s.ViewIndex + s.RTT + s.LastPong + s.Obits + s.PendingAdd +
+		s.RetiredSlots + s.LastSyncTo + s.Neighbors + s.Pings
+}
+
+// StateBytes reports the bytes of the node's per-peer state.
+func (n *Node) StateBytes() StateBytes {
+	m := &n.members
+	return StateBytes{
+		Node:         int(unsafe.Sizeof(*n)),
+		View:         cap(m.recs)*int(unsafe.Sizeof(viewRec{})) + cap(m.addrs)*int(unsafe.Sizeof("")),
+		ViewIndex:    m.pos.bytes(),
+		RTT:          n.rtt.bytes(),
+		LastPong:     n.lastPong.bytes(),
+		Obits:        n.obits.bytes(),
+		PendingAdd:   n.pendingAdd.bytes(),
+		RetiredSlots: n.retiredSlots.bytes(),
+		LastSyncTo:   n.lastSyncTo.bytes(),
+		Neighbors: cap(n.neighbors.ids)*int(unsafe.Sizeof(NodeID(0))) +
+			cap(n.neighbors.nbs)*int(unsafe.Sizeof(&neighbor{})) +
+			n.neighbors.len()*int(unsafe.Sizeof(neighbor{})),
+		Pings: cap(n.pings) * int(unsafe.Sizeof(pingCtx{})),
+	}
+}

@@ -23,7 +23,8 @@ type NodeID int32
 const None NodeID = -1
 
 // Entry is a partial-membership record: enough information to contact a
-// node and to estimate its network distance without measuring it.
+// node and to estimate its network distance without measuring it. It is
+// 32 bytes and copies without allocating: the landmark vector is shared.
 type Entry struct {
 	ID NodeID
 	// Inc is the node's incarnation number, bumped every time the node
@@ -33,11 +34,40 @@ type Entry struct {
 	Inc uint32
 	// Addr is the node's transport address; unused in simulation.
 	Addr string
-	// Landmarks holds the node's measured RTTs to the system landmarks in
-	// milliseconds, used for triangulated latency estimation. May be empty
-	// if the node has not yet measured them.
-	Landmarks []uint16
+	// Landmarks holds the node's measured RTTs to the system landmarks,
+	// used for triangulated latency estimation. Nil if the node has not
+	// yet measured them.
+	Landmarks *LandmarkVec
 }
+
+// LandmarkVec is a node's measured RTTs to the system landmarks in
+// milliseconds. A vector is immutable once built: every Entry copy shares
+// it by pointer, and a node whose measurements change builds a new one,
+// so two entries hold the same measurements whenever they hold the same
+// pointer.
+type LandmarkVec struct {
+	ms []uint16
+}
+
+// NewLandmarkVec returns a vector holding a copy of ms, or nil if ms is
+// empty.
+func NewLandmarkVec(ms ...uint16) *LandmarkVec {
+	if len(ms) == 0 {
+		return nil
+	}
+	return &LandmarkVec{ms: append([]uint16(nil), ms...)}
+}
+
+// Len returns the number of landmarks in the vector; 0 for nil.
+func (v *LandmarkVec) Len() int {
+	if v == nil {
+		return 0
+	}
+	return len(v.ms)
+}
+
+// At returns the RTT to landmark i in milliseconds (0 = unmeasured).
+func (v *LandmarkVec) At(i int) uint16 { return v.ms[i] }
 
 // MessageID uniquely identifies a multicast message: the injecting node's
 // ID plus a sequence number local to that node.

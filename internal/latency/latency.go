@@ -40,10 +40,13 @@ const (
 	LocalOneWay = 500 * time.Microsecond
 )
 
-// Matrix holds symmetric one-way latencies between n sites, in microseconds.
+// Matrix holds symmetric one-way latencies between n sites, in
+// microseconds. Every writer sets both directions of a pair, so each
+// unordered pair is stored once: half the bytes of a square matrix, which
+// keeps a simulation's latency lookups in cache at larger site counts.
 type Matrix struct {
 	n  int
-	us []int32 // row-major n*n, one-way latency in microseconds
+	us []int32 // lower triangle without the diagonal: pair (i, j), i < j, at tri(i, j)
 	// regions labels each site with the geographic cluster it was
 	// synthesized in (index into synthClusters), or is nil for matrices
 	// built by NewMatrix/Load. Partition uses the labels as the natural
@@ -51,12 +54,22 @@ type Matrix struct {
 	regions []int16
 }
 
+// tri returns the storage index of the unordered pair {i, j}, i != j:
+// row j of the lower triangle starts after the j(j-1)/2 pairs of the rows
+// before it.
+func tri(i, j int) int {
+	if i > j {
+		i, j = j, i
+	}
+	return j*(j-1)/2 + i
+}
+
 // NewMatrix returns an all-zero latency matrix over n sites.
 func NewMatrix(n int) *Matrix {
 	if n <= 0 {
 		panic("latency: matrix size must be positive")
 	}
-	return &Matrix{n: n, us: make([]int32, n*n)}
+	return &Matrix{n: n, us: make([]int32, n*(n-1)/2)}
 }
 
 // Sites returns the number of sites in the matrix.
@@ -68,7 +81,7 @@ func (m *Matrix) OneWay(i, j int) time.Duration {
 	if i == j {
 		return LocalOneWay
 	}
-	return time.Duration(m.us[i*m.n+j]) * time.Microsecond
+	return time.Duration(m.us[tri(i, j)]) * time.Microsecond
 }
 
 // RTT returns the round-trip time between sites i and j.
@@ -78,9 +91,7 @@ func (m *Matrix) RTT(i, j int) time.Duration {
 
 // Set assigns the one-way latency between sites i and j (both directions).
 func (m *Matrix) Set(i, j int, d time.Duration) {
-	us := int32(d / time.Microsecond)
-	m.us[i*m.n+j] = us
-	m.us[j*m.n+i] = us
+	m.us[tri(i, j)] = int32(d / time.Microsecond)
 }
 
 // Stats summarizes the off-diagonal latency distribution.
@@ -93,15 +104,10 @@ type Stats struct {
 func (m *Matrix) Stats() Stats {
 	var sum int64
 	all := make([]int32, 0, m.n*(m.n-1))
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			if i == j {
-				continue
-			}
-			v := m.us[i*m.n+j]
-			sum += int64(v)
-			all = append(all, v)
-		}
+	for _, v := range m.us {
+		// Both directions of the pair, as a square matrix would count it.
+		sum += 2 * int64(v)
+		all = append(all, v, v)
 	}
 	if len(all) == 0 {
 		return Stats{}
@@ -175,8 +181,7 @@ func Synthesize(n int, seed int64) *Matrix {
 			// produces triangle-inequality violations.
 			jitter := 1 + 0.15*rng.Float64()
 			ms := base * jitter
-			m.us[i*n+j] = int32(ms * 1000)
-			m.us[j*n+i] = m.us[i*n+j]
+			m.us[tri(i, j)] = int32(ms * 1000)
 			sum += ms
 			pairs++
 		}
@@ -223,7 +228,7 @@ func (m *Matrix) Save(w io.Writer) error {
 	}
 	for i := 0; i < m.n; i++ {
 		for j := i + 1; j < m.n; j++ {
-			if _, err := fmt.Fprintf(bw, "%d %d %d\n", i, j, m.us[i*m.n+j]); err != nil {
+			if _, err := fmt.Fprintf(bw, "%d %d %d\n", i, j, m.us[tri(i, j)]); err != nil {
 				return err
 			}
 		}
@@ -265,8 +270,9 @@ func Load(r io.Reader) (*Matrix, error) {
 		if i < 0 || i >= n || j < 0 || j >= n {
 			return nil, fmt.Errorf("latency: line %d: site index out of range", line)
 		}
-		m.us[i*n+j] = int32(us)
-		m.us[j*n+i] = int32(us)
+		if i != j { // a diagonal line carries nothing: OneWay(i, i) is LocalOneWay
+			m.us[tri(i, j)] = int32(us)
+		}
 	}
 	return m, sc.Err()
 }

@@ -95,15 +95,17 @@ func Partition(m *Matrix, want int, load []int) (siteShard []int, minOut []time.
 	for k := range floor {
 		floor[k] = never
 	}
-	for i := 0; i < m.n; i++ {
-		row := floor[groupOf[i]*g : (groupOf[i]+1)*g]
-		us := m.us[i*m.n : (i+1)*m.n]
-		for j, gj := range groupOf {
-			if gj == groupOf[i] {
+	for j := 1; j < m.n; j++ {
+		gj := groupOf[j]
+		row := m.us[tri(0, j) : tri(0, j)+j] // pairs (i, j), i < j
+		for i, us := range row {
+			gi := groupOf[i]
+			if gi == gj {
 				continue
 			}
-			if d := time.Duration(us[j]) * time.Microsecond; d < row[gj] {
-				row[gj] = d
+			if d := time.Duration(us) * time.Microsecond; d < floor[gi*g+gj] {
+				floor[gi*g+gj] = d
+				floor[gj*g+gi] = d
 			}
 		}
 	}

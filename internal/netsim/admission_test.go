@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -11,7 +10,7 @@ import (
 // testEnv returns a fresh env speaking for node i's current life, for
 // driving Cluster.send directly.
 func (c *Cluster) testEnv(i int) *env {
-	return &env{c: c, sh: c.shards[c.shardOf[i]], id: core.NodeID(i), gen: c.gen[i], rng: rand.New(rand.NewSource(99))}
+	return &env{c: c, sh: c.shards[c.shardOf[i]], id: core.NodeID(i), gen: c.gen[i], rng: newBatchRand(99)}
 }
 
 // TestAdmissionCapsShedByClass pins the admission mechanics: each class

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -206,4 +207,48 @@ func TestPanicsOnZeroNodes(t *testing.T) {
 		}
 	}()
 	New(Options{Nodes: 0, Seed: 1, Config: core.DefaultConfig()})
+}
+
+// TestBatchRandMatchesMathRand checks the env's batched stream against
+// (*rand.Rand).Intn over the same seed: small, power-of-two, rejection-
+// prone and 63-bit bounds, interleaved.
+func TestBatchRandMatchesMathRand(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		ref := rand.New(rand.NewSource(seed))
+		got := newBatchRand(seed)
+		bounds := []int{1, 2, 3, 7, 64, 96, 1000, 1<<30 + 1, 1<<31 - 1, 1 << 31, 5_000_000_000, 1 << 40, 1<<62 + 3}
+		for i := 0; i < 20000; i++ {
+			n := bounds[i%len(bounds)]
+			if a, b := got.Intn(n), ref.Intn(n); a != b {
+				t.Fatalf("seed %d draw %d: Intn(%d) = %d, math/rand gives %d", seed, i, n, a, b)
+			}
+		}
+	}
+}
+
+// TestPeerStateBudget pins what a node's per-peer state costs: after 60
+// virtual seconds of overlay set-up with 256 nodes, the mean of
+// core.Node.StateBytes stays within budget and every view keeps its
+// 16-byte records in one array sized to the view. The budget is about 7 %
+// above the measured 10,320 B, where 48-byte view entries and 16-byte RTT
+// slots made it 18,937 B.
+func TestPeerStateBudget(t *testing.T) {
+	const nodes, budget = 256, 11_000
+	cfg := core.DefaultConfig()
+	c := New(Options{Nodes: nodes, Seed: 1, Config: cfg, Matrix: latency.Synthesize(nodes, 424242)})
+	c.BootstrapMembership(cfg.MemberViewSize / 2)
+	c.WireRandom(cfg.TargetDegree() / 2)
+	c.Start(0)
+	c.Run(60 * time.Second)
+	total := 0
+	for i := 0; i < nodes; i++ {
+		b := c.Node(i).StateBytes()
+		if b.View != 16*cfg.MemberViewSize {
+			t.Fatalf("node %d view holds %d bytes, want %d (16-byte records, one array)", i, b.View, 16*cfg.MemberViewSize)
+		}
+		total += b.Total()
+	}
+	if mean := total / nodes; mean > budget {
+		t.Fatalf("per-peer state averages %d bytes per node, budget %d; node 0: %+v", mean, budget, c.Node(0).StateBytes())
+	}
 }

@@ -8,18 +8,19 @@
 //
 // The scheduler is built for allocation-free steady-state operation:
 // event records live in a slab recycled through a free list, the priority
-// queue is an index-free 4-ary heap of small value slots (no interface
-// boxing, better cache behavior than container/heap's binary heap), and
-// timers are generation-checked integer handles, so Schedule/Cancel touch
-// no heap memory once the slab and queue have grown to the workload's
-// high-water mark. Cancelled timers are discarded lazily: a stopped timer
-// keeps its queue slot until it is popped or until cancelled entries
-// exceed half of the queue, at which point the queue is compacted in one
-// pass.
+// queue is a radix heap of small value slots (events are never scheduled
+// before the clock, so the queue is monotone and each slot only ever moves
+// toward the front bucket), and timers are generation-checked integer
+// handles, so Schedule/Cancel touch no heap memory once the slab and
+// buckets have grown to the workload's high-water mark. Cancelled timers
+// are discarded lazily: a stopped timer keeps its queue slot until it is
+// reached or until cancelled entries exceed half of the queue, at which
+// point the queue is compacted in one pass.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -40,10 +41,10 @@ func (h Handle) split() (idx, gen uint32) { return uint32(h), uint32(h >> 32) }
 type Engine struct {
 	now     time.Duration
 	seq     uint64
-	queue   []heapSlot // 4-ary min-heap ordered by (at, seq)
-	events  []event    // slab; heapSlot.idx indexes into it
-	free    []uint32   // recycled slab slots
-	stale   int        // cancelled events still occupying queue slots
+	queue   radixQueue
+	events  []event  // slab; heapSlot.idx indexes into it
+	free    []uint32 // recycled slab slots
+	stale   int      // cancelled events still occupying queue slots
 	rng     *rand.Rand
 	stopped bool
 
@@ -51,7 +52,7 @@ type Engine struct {
 	executed uint64
 }
 
-// heapSlot is one priority-queue entry: the event's deadline, its
+// heapSlot is one queue entry: the event's deadline, its
 // canonical ordering key, its scheduling sequence number (FIFO
 // tie-break of last resort), and its slab slot.
 //
@@ -97,7 +98,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events currently scheduled (including
 // cancelled timers whose queue slots have not yet been discarded).
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.queue.count }
 
 // Cancelled returns the number of cancelled timers still occupying queue
 // slots — the queue-bloat diagnostic. It drops to zero whenever the lazy
@@ -177,9 +178,8 @@ func (e *Engine) ScheduleKeyed(at time.Duration, key uint64, fn func()) Handle {
 
 // Cancel stops the event identified by h, reporting whether it prevented
 // the callback from firing. The event's queue slot is discarded lazily:
-// immediately freed slots would require a heap delete at a random
-// position; instead the slot is skipped when popped, and when cancelled
-// slots outnumber live ones the whole queue is compacted in one pass.
+// the slot is skipped when it is reached, and when cancelled slots
+// outnumber live ones the whole queue is compacted in one pass.
 func (e *Engine) Cancel(h Handle) bool {
 	idx, gen := h.split()
 	if int(idx) >= len(e.events) {
@@ -192,7 +192,7 @@ func (e *Engine) Cancel(h Handle) bool {
 	ev.cancelled = true
 	ev.fn = nil // release the closure now, not at pop time
 	e.stale++
-	if e.stale*2 > len(e.queue) {
+	if e.stale*2 > e.queue.count {
 		e.compact()
 	}
 	return true
@@ -210,139 +210,6 @@ func (e *Engine) recycle(idx uint32) {
 	ev.cancelled = false
 	ev.gen++
 	e.free = append(e.free, idx)
-}
-
-// compact rebuilds the queue without the cancelled slots, freeing them.
-// It preserves the (at, seq) order relation, so pop order — and therefore
-// simulation determinism — is unaffected.
-func (e *Engine) compact() {
-	kept := e.queue[:0]
-	for _, s := range e.queue {
-		if e.events[s.idx].cancelled {
-			e.recycle(s.idx)
-			continue
-		}
-		kept = append(kept, s)
-	}
-	e.queue = kept
-	e.stale = 0
-	// Heapify: sift down from the last internal node.
-	for i := (len(e.queue) - 2) / 4; i >= 0; i-- {
-		e.siftDown(i)
-	}
-	e.shrink()
-}
-
-// shrink reallocates the queue's backing array when a churn burst has left
-// capacity more than 4x the live length, so one spike does not pin memory
-// for the rest of a long run.
-func (e *Engine) shrink() {
-	if c := cap(e.queue); c > 64 && c > 4*len(e.queue) {
-		q := make([]heapSlot, len(e.queue), 2*len(e.queue))
-		copy(q, e.queue)
-		e.queue = q
-	}
-}
-
-func slotLess(a, b heapSlot) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.seq < b.seq
-}
-
-func (e *Engine) push(s heapSlot) {
-	e.queue = append(e.queue, s)
-	// Sift up.
-	i := len(e.queue) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !slotLess(e.queue[i], e.queue[p]) {
-			break
-		}
-		e.queue[i], e.queue[p] = e.queue[p], e.queue[i]
-		i = p
-	}
-}
-
-// popMin removes and returns the queue's minimum slot.
-func (e *Engine) popMin() heapSlot {
-	q := e.queue
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	e.queue = q[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
-	e.shrink()
-	return top
-}
-
-func (e *Engine) siftDown(i int) {
-	q := e.queue
-	n := len(q)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if slotLess(q[c], q[best]) {
-				best = c
-			}
-		}
-		if !slotLess(q[best], q[i]) {
-			return
-		}
-		q[i], q[best] = q[best], q[i]
-		i = best
-	}
-}
-
-// next pops slots until it finds a live event, discarding stale ones. It
-// returns the slot and the callback, or false when the queue is empty.
-// The slab slot is recycled before the callback is returned, so the
-// callback may freely schedule new events.
-func (e *Engine) next() (heapSlot, func(), bool) {
-	for len(e.queue) > 0 {
-		s := e.popMin()
-		ev := &e.events[s.idx]
-		if ev.cancelled {
-			e.stale--
-			e.recycle(s.idx)
-			continue
-		}
-		fn := ev.fn
-		e.recycle(s.idx)
-		return s, fn, true
-	}
-	return heapSlot{}, nil, false
-}
-
-// NextAt reports the time of the earliest live pending event. Stale
-// (cancelled) slots at the top of the queue are discarded as a side
-// effect, so the call is amortized O(1). ok is false when no live
-// events are pending.
-func (e *Engine) NextAt() (at time.Duration, ok bool) {
-	for len(e.queue) > 0 {
-		top := e.queue[0]
-		if !e.events[top.idx].cancelled {
-			return top.at, true
-		}
-		e.popMin()
-		e.stale--
-		e.recycle(top.idx)
-	}
-	return 0, false
 }
 
 // AdvanceTo moves the clock forward to t without firing events. It is
@@ -369,30 +236,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // event, or advanced to until if no event fired at/after it.
 func (e *Engine) Run(until time.Duration) {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		// Peek: discard stale slots at the top so a cancelled far-future
-		// timer does not mask live events behind the horizon check.
-		top := e.queue[0]
-		if e.events[top.idx].cancelled {
-			e.popMin()
-			e.stale--
-			e.recycle(top.idx)
-			continue
-		}
-		if top.at > until {
-			break
-		}
-		s, fn, ok := e.next()
-		if !ok {
-			break
-		}
-		if s.at < e.now {
-			// Cannot happen: heap order plus clamping in Schedule.
-			panic(fmt.Sprintf("sim: event at %v in the past (now %v)", s.at, e.now))
-		}
-		e.now = s.at
-		e.executed++
-		fn()
+	for !e.stopped && e.settle(until) {
+		e.fire()
 	}
 	if e.now < until {
 		e.now = until
@@ -403,25 +248,32 @@ func (e *Engine) Run(until time.Duration) {
 // timers make this non-terminating.
 func (e *Engine) RunAll() {
 	e.stopped = false
-	for !e.stopped {
-		s, fn, ok := e.next()
-		if !ok {
-			return
-		}
-		e.now = s.at
-		e.executed++
-		fn()
+	for !e.stopped && e.settle(math.MaxInt64) {
+		e.fire()
 	}
 }
 
 // Step fires the next pending event, if any, and reports whether one fired.
 func (e *Engine) Step() bool {
-	s, fn, ok := e.next()
-	if !ok {
+	if !e.settle(math.MaxInt64) {
 		return false
 	}
+	e.fire()
+	return true
+}
+
+// fire pops the front slot, which settle has made live, and runs it. The
+// slab slot is recycled before the callback runs, so the callback may
+// freely schedule new events.
+func (e *Engine) fire() {
+	s := e.queue.popFront()
+	if s.at < e.now {
+		// Cannot happen: the queue is monotone and Schedule clamps to now.
+		panic(fmt.Sprintf("sim: event at %v in the past (now %v)", s.at, e.now))
+	}
+	fn := e.events[s.idx].fn
+	e.recycle(s.idx)
 	e.now = s.at
 	e.executed++
 	fn()
-	return true
 }

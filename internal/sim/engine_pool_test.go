@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -73,19 +74,34 @@ func TestCompactionPreservesOrder(t *testing.T) {
 }
 
 // A churn burst must not pin queue capacity forever: after the burst
-// drains, capacity shrinks to within 4x of the live length.
+// drains, the front heap and every bucket shrink to within 4x of the
+// queued length (or to the few slots a bucket may always keep), as the
+// single heap array did before the radix queue.
 func TestQueueShrinksAfterChurnBurst(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 4096; i++ {
 		e.After(time.Duration(i)*time.Millisecond, func() {})
+	}
+	if c := queueCapacity(&e.queue); c < 4096 {
+		t.Fatalf("queue capacity %d while 4096 events are pending", c)
 	}
 	e.RunAll()
 	// Steady trickle: a handful of pending events.
 	for i := 0; i < 8; i++ {
 		e.After(time.Duration(i+1)*time.Second, func() {})
 	}
-	if c := cap(e.queue); c > 64 && c > 4*len(e.queue) {
-		t.Fatalf("queue cap %d not shrunk for len %d", c, len(e.queue))
+	q := &e.queue
+	check := func(name string, c int) {
+		if c > keepSlots && c > 4*q.count {
+			t.Errorf("%s cap %d not shrunk for %d queued slots", name, c, q.count)
+		}
+	}
+	check("front", cap(q.front))
+	for b := range q.buckets {
+		check(fmt.Sprintf("bucket %d", b), cap(q.buckets[b]))
+	}
+	if c := queueCapacity(q); c > (len(q.buckets)+1)*keepSlots {
+		t.Errorf("queue keeps %d slots of capacity after the burst", c)
 	}
 }
 
@@ -180,4 +196,13 @@ func TestScheduleHandleCancelDirect(t *testing.T) {
 	if fired {
 		t.Fatalf("cancelled event fired")
 	}
+}
+
+// queueCapacity returns the slots the queue's backing arrays can hold.
+func queueCapacity(q *radixQueue) int {
+	c := cap(q.front)
+	for b := range q.buckets {
+		c += cap(q.buckets[b])
+	}
+	return c
 }

@@ -166,12 +166,13 @@ func (e *encoder) entry(en core.Entry) error {
 	if err := e.str(en.Addr); err != nil {
 		return err
 	}
-	if len(en.Landmarks) > math.MaxUint16 {
+	n := en.Landmarks.Len()
+	if n > math.MaxUint16 {
 		return errors.New("wire: landmark vector too long")
 	}
-	e.u16(uint16(len(en.Landmarks)))
-	for _, v := range en.Landmarks {
-		e.u16(v)
+	e.u16(uint16(n))
+	for i := 0; i < n; i++ {
+		e.u16(en.Landmarks.At(i))
 	}
 	return nil
 }
@@ -496,10 +497,12 @@ func (d *decoder) entry() core.Entry {
 			d.fail()
 			return en
 		}
-		en.Landmarks = make([]uint16, n)
-		for i := range en.Landmarks {
-			en.Landmarks[i] = d.u16()
+		var buf [16]uint16
+		ms := buf[:0]
+		for i := 0; i < n; i++ {
+			ms = append(ms, d.u16())
 		}
+		en.Landmarks = core.NewLandmarkVec(ms...)
 	}
 	return en
 }

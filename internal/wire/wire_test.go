@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"io"
 	"math/rand"
 	"os"
@@ -19,7 +20,7 @@ import (
 )
 
 func sampleMessages() []core.Message {
-	entry := core.Entry{ID: 7, Inc: 3, Addr: "10.0.0.7:9000", Landmarks: []uint16{12, 99, 4}}
+	entry := core.Entry{ID: 7, Inc: 3, Addr: "10.0.0.7:9000", Landmarks: core.NewLandmarkVec(12, 99, 4)}
 	bare := core.Entry{ID: 3}
 	return []core.Message{
 		&core.JoinRequest{From: entry},
@@ -159,6 +160,40 @@ func TestRoundTripAllKinds(t *testing.T) {
 	}
 }
 
+// TestLandmarkEntriesEncodeUnchanged pins the bytes of entries carrying
+// landmark vectors (one short, one past the decoder's 16-value stack
+// buffer) to the encoding recorded before Entry shared its vector by
+// pointer, and checks that they decode back to equal vectors.
+func TestLandmarkEntriesEncodeUnchanged(t *testing.T) {
+	entry := core.Entry{ID: 7, Inc: 3, Addr: "10.0.0.7:9000", Landmarks: core.NewLandmarkVec(12, 99, 4)}
+	long := core.Entry{ID: 300, Inc: 1, Landmarks: core.NewLandmarkVec(0, 65535, 180, 2, 9, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)}
+	cases := []struct {
+		m    core.Message
+		want string
+	}{
+		{&core.Ping{From: entry, Nonce: 42},
+			"28000000050000000307000000030000000d0031302e302e302e373a3930303003000c00630004002a000000"},
+		{&core.Gossip{Members: []core.Entry{entry, long, {ID: 4}}},
+			"74000000050000000a0000030007000000030000000d0031302e302e302e373a3930303003000c00630004002c01000001000000000012000000ffffb400020009000b000d001100130017001d001f00250029002b002f0035003b0004000000000000000000000000000000000000000000000000000000"},
+	}
+	for _, c := range cases {
+		b, err := Append(nil, 5, c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != c.want {
+			t.Errorf("%T encodes as\n%s\nwant\n%s", c.m, got, c.want)
+		}
+		_, back, err := Decode(b[4:])
+		if err != nil {
+			t.Fatalf("%T: %v", c.m, err)
+		}
+		if !reflect.DeepEqual(back, c.m) {
+			t.Errorf("%T decodes to %+v, want %+v", c.m, back, c.m)
+		}
+	}
+}
+
 func TestStreamReadWrite(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := sampleMessages()
@@ -268,9 +303,11 @@ func TestPropertyRandomRoundTrip(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					e.Addr = "127.0.0.1:1"
 				}
+				var lm []uint16
 				for j := 0; j < rng.Intn(4); j++ {
-					e.Landmarks = append(e.Landmarks, uint16(rng.Intn(1000)))
+					lm = append(lm, uint16(rng.Intn(1000)))
 				}
+				e.Landmarks = core.NewLandmarkVec(lm...)
 				g.Members = append(g.Members, e)
 			}
 			for i := 0; i < rng.Intn(4); i++ {
@@ -345,7 +382,7 @@ func BenchmarkEncodeGossip(b *testing.B) {
 			{ID: core.MessageID{Source: 1, Seq: 2}, Age: time.Millisecond},
 			{ID: core.MessageID{Source: 5, Seq: 9}, Age: time.Second},
 		},
-		Members: []core.Entry{{ID: 4, Addr: "127.0.0.1:4", Landmarks: []uint16{1, 2, 3}}},
+		Members: []core.Entry{{ID: 4, Addr: "127.0.0.1:4", Landmarks: core.NewLandmarkVec(1, 2, 3)}},
 	}
 	var buf []byte
 	b.ReportAllocs()
