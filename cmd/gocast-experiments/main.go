@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -24,13 +25,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gocast-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gocast-experiments", flag.ContinueOnError)
 	var (
 		fig      = fs.String("fig", "all", "which figure to regenerate: all,1,3a,3b,3a-curves,3b-curves,4,5a,5b,6,hears,redundancy,linkchanges,randsweep,diameter,stress,fanoutsweep,coopcast,ablate,churn,recovery,paths,scale ('all' skips the -curves variants and the scale sweep)")
@@ -91,8 +92,8 @@ func run(args []string) error {
 		ran++
 		start := time.Now()
 		rep := gen()
-		fmt.Println(rep.String())
-		fmt.Printf("# generated in %v\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(out, rep.String())
+		fmt.Fprintf(out, "# generated in %v\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
 	emit("1", func() *experiments.Report { return experiments.Figure1(1024, 20) })
@@ -175,8 +176,8 @@ func run(args []string) error {
 	emit("ablate", func() *experiments.Report {
 		// Combine the three ablations into one printout.
 		a, b, c := experiments.AblateC1(sc), experiments.AblateDropTrigger(sc), experiments.AblateC4(sc)
-		fmt.Println(a.String())
-		fmt.Println(b.String())
+		fmt.Fprintln(out, a.String())
+		fmt.Fprintln(out, b.String())
 		return c
 	})
 
