@@ -34,7 +34,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gocast-experiments", flag.ContinueOnError)
 	var (
-		fig      = fs.String("fig", "all", "which figure to regenerate: all,1,3a,3b,3a-curves,3b-curves,4,5a,5b,6,hears,redundancy,linkchanges,randsweep,diameter,stress,fanoutsweep,coopcast,ablate,churn,recovery,paths,scale ('all' skips the -curves variants and the scale sweep)")
+		fig      = fs.String("fig", "all", "which figure to regenerate: all,1,3a,3b,3a-curves,3b-curves,4,5a,5b,6,hears,redundancy,linkchanges,randsweep,diameter,stress,fanoutsweep,coopcast,ablate,churn,recovery,paths,scale ('all' skips the -curves variants)")
 		scale    = fs.String("scale", "quick", "experiment scale: paper or quick")
 		nodes    = fs.Int("nodes", 0, "override the node count")
 		seed     = fs.Int64("seed", 0, "override the random seed")

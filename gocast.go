@@ -51,7 +51,6 @@ import (
 	"gocast/internal/netsim"
 	"gocast/internal/obs"
 	"gocast/internal/scenario"
-	"gocast/internal/store"
 )
 
 // Re-exported protocol types. The aliases keep the public API in one
@@ -155,16 +154,6 @@ type (
 	// AdmissionCaps bounds per-class in-flight traffic in simulation,
 	// mirroring the live admission model.
 	AdmissionCaps = netsim.AdmissionCaps
-
-	// MessageStore buffers multicast payloads between receipt and
-	// reclamation; Config.NewStore swaps in alternative implementations.
-	MessageStore = store.MessageStore
-	// StoreLimits bounds a message store (count cap, byte cap, retention).
-	StoreLimits = store.Limits
-	// StoreID identifies a message inside a store (source + sequence).
-	StoreID = store.ID
-	// SourceRange is one per-source watermark range of a sync digest.
-	SourceRange = store.SourceRange
 )
 
 // Churn event kinds.
@@ -212,11 +201,6 @@ func RandomOverlayConfig() Config { return core.RandomOverlayConfig() }
 
 // FastConfig returns protocol timing scaled for in-process clusters.
 func FastConfig() Config { return live.FastConfig() }
-
-// NewMemoryStore returns the default bounded in-memory message store —
-// useful as the inner store when wrapping with instrumentation via
-// Config.NewStore.
-func NewMemoryStore(l StoreLimits) MessageStore { return store.NewMemory(l) }
 
 // NewNode starts a live GoCast node.
 func NewNode(opts NodeOptions) *Node { return live.NewNode(opts) }

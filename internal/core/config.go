@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"gocast/internal/store"
-)
+import "time"
 
 // Config holds the GoCast protocol parameters. DefaultConfig returns the
 // values recommended by the paper; the named constructors build the
@@ -125,11 +121,6 @@ type Config struct {
 	// LandmarkCount is how many landmark nodes anchor triangulated latency
 	// estimation.
 	LandmarkCount int
-
-	// NewStore, when non-nil, constructs the node's message store instead
-	// of the default bounded in-memory implementation — the hook for
-	// alternative backends and instrumented test doubles.
-	NewStore func(store.Limits) store.MessageStore
 }
 
 // DefaultConfig returns the paper's recommended parameters for the complete

@@ -15,15 +15,15 @@ import (
 // receivers pull missing messages, optionally waiting until the message is
 // at least PullDelay old so the tree gets the first chance.
 //
-// Payload buffering, retention, and reclamation live in the pluggable
-// MessageStore (internal/store): this file keeps only the per-neighbor
+// Payload buffering, retention, and reclamation live in the node's
+// store.Memory (internal/store): this file keeps only the per-neighbor
 // gossip bookkeeping and drives the store's stability-based GC — a payload
 // becomes reclaimable once every current overlay neighbor has heard of the
 // message, with the store's age cap as the fallback for neighbors that
 // never acknowledge.
 
 // msgState tracks the gossip bookkeeping of one multicast message at this
-// node. The payload itself lives in the MessageStore; this record exists
+// node. The payload itself lives in the store; this record exists
 // exactly as long as the store knows the ID (live or tombstoned), so the
 // seen map doubles as the duplicate-suppression index.
 type msgState struct {
@@ -709,7 +709,7 @@ func (n *Node) Seen(id MessageID) bool {
 
 // Store exposes the node's message store for inspection (stats surfacing,
 // tests). Treat it as read-only outside the node's own thread discipline.
-func (n *Node) Store() store.MessageStore { return n.store }
+func (n *Node) Store() *store.Memory { return n.store }
 
 // containsID reports membership in a small NodeID slice.
 func containsID(s []NodeID, id NodeID) bool {

@@ -82,9 +82,9 @@ type Node struct {
 	landmarks []Entry
 
 	// Dissemination state (Section 2.1). Payload buffering, retention,
-	// and reclamation are delegated to the pluggable store; seen keeps the
+	// and reclamation are delegated to the store; seen keeps the
 	// per-neighbor gossip bookkeeping in lockstep with it.
-	store     store.MessageStore
+	store     *store.Memory
 	seen      map[uint64]*msgState  // keyed by pid(MessageID)
 	pending   map[uint64]*pullState // keyed by pid(MessageID)
 	recent    []MessageID
@@ -244,17 +244,11 @@ func (l *neighborList) removeAt(i int) {
 // New constructs a node. The returned node is inert until Start is called.
 func New(id NodeID, cfg Config, env Env) *Node {
 	cfg = cfg.validate()
-	limits := store.Limits{
+	st := store.NewMemory(store.Limits{
 		MaxMessages: cfg.StoreMaxMessages,
 		MaxBytes:    cfg.StoreMaxBytes,
 		Retention:   cfg.ReclaimAfter,
-	}
-	var st store.MessageStore
-	if cfg.NewStore != nil {
-		st = cfg.NewStore(limits)
-	} else {
-		st = store.NewMemory(limits)
-	}
+	})
 	n := &Node{
 		id:          id,
 		self:        Entry{ID: id},

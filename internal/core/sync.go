@@ -65,22 +65,13 @@ func (n *Node) requestSync(peer NodeID, force bool) {
 	n.env.Send(peer, &SyncRequest{Ranges: n.store.Digest()})
 }
 
-// digestAppender is the optional store fast path: summarize into a
-// retained scratch slice instead of allocating per call.
-type digestAppender interface {
-	DigestAppend([]store.SourceRange) []store.SourceRange
-}
-
 // localDigest returns this node's watermark digest for transient,
 // same-event use only (compared and discarded before returning to the
 // event loop). The slice is node-owned scratch: it must never be sent or
 // retained past the current handler.
 func (n *Node) localDigest() []store.SourceRange {
-	if da, ok := n.store.(digestAppender); ok {
-		n.digestScratch = da.DigestAppend(n.digestScratch[:0])
-		return n.digestScratch
-	}
-	return n.store.Digest()
+	n.digestScratch = n.store.DigestAppend(n.digestScratch[:0])
+	return n.digestScratch
 }
 
 // handleSyncRequest serves one reply batch: everything this node's store

@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"time"
-
-	"gocast/internal/store"
 )
 
 func isSyncRequest(m Message) bool { _, ok := m.(*SyncRequest); return ok }
@@ -215,25 +213,27 @@ func TestPeriodicSyncReconcilesNeighbors(t *testing.T) {
 	}
 }
 
-func TestCountingStoreSwapsInViaConfig(t *testing.T) {
+func TestMulticastStoredOnceAndPullServedFromStore(t *testing.T) {
 	cfg := quietConfig()
-	var counting *store.Counting
-	cfg.NewStore = func(l store.Limits) store.MessageStore {
-		counting = store.NewCounting(store.NewMemory(l))
-		return counting
-	}
 	f := newFixture(28)
 	a := f.addNode(1, cfg)
 	a.Start()
-	a.Multicast([]byte("x"))
-	if counting == nil {
-		t.Fatalf("NewStore hook never invoked")
+	id := a.Multicast([]byte("x"))
+	if puts := a.Store().Counters()["puts"]; puts != 1 {
+		t.Fatalf("store puts = %d, want 1 (dissemination not routed through the store)", puts)
 	}
-	if counting.Calls("Put") != 1 {
-		t.Fatalf("Put calls = %d, want 1 (dissemination not routed through the store)", counting.Calls("Put"))
+	stored, ok := a.Store().Get(sid(id))
+	if !ok {
+		t.Fatalf("multicast payload not in the store")
 	}
-	a.HandleMessage(2, &PullRequest{IDs: []MessageID{{Source: 1, Seq: 0}}})
-	if counting.Calls("Get") == 0 {
-		t.Fatalf("pull serving bypassed the store interface")
+	a.HandleMessage(2, &PullRequest{IDs: []MessageID{id}})
+	var served []byte
+	for _, s := range f.sent {
+		if m, ok := s.msg.(*Multicast); ok && s.from == 1 && s.to == 2 && m.ID == id {
+			served = m.Payload
+		}
+	}
+	if len(served) == 0 || &served[0] != &stored[0] {
+		t.Fatalf("pull reply %q does not carry the store's buffer", served)
 	}
 }

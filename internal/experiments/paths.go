@@ -34,7 +34,16 @@ func Paths(sc Scale, loss float64) *Report {
 	cfg.TraceSampleEvery = 1
 	spans := dtrace.NewBuffer(sc.Nodes * msgs * 8)
 
-	c := netsim.New(netsim.Options{Nodes: sc.Nodes, Seed: sc.Seed, Config: cfg, Spans: spans})
+	c := netsim.New(netsim.Options{
+		Nodes:  sc.Nodes,
+		Seed:   sc.Seed,
+		Config: cfg,
+		Trace: func(s dtrace.Span) {
+			if s.Sampled {
+				spans.Record(s)
+			}
+		},
+	})
 	c.BootstrapMembership(cfg.MemberViewSize / 2)
 	c.WireRandom(cfg.TargetDegree() / 2)
 	c.Start(0)
@@ -52,7 +61,7 @@ func Paths(sc Scale, loss float64) *Report {
 		Name:   fmt.Sprintf("Dissemination paths: delivery attribution at %.0f%% loss", loss*100),
 		Header: []string{"msg", "deliveries", "tree", "pull", "sync", "fec", "max-hops", "tree-p50", "pull-p50", "pull-wait-p50"},
 	}
-	traces := dtrace.Stitch(c.Spans())
+	traces := dtrace.Stitch(spans.Snapshot())
 	var totTree, totPull, totSync, totFec int
 	var treeAges, pullAges, pullWaits []time.Duration
 	for _, t := range traces {

@@ -245,58 +245,9 @@ func (n *Node) collect() {
 // names are chosen so that stripping the gocast_<group>_ prefix and _total
 // suffix reproduces the keys the legacy per-group stats maps used.
 func (n *Node) mirrorCore(s core.Counters, inc uint32, degree, members int, storeCtr map[string]int64, storeLen int, storeBytes int64) {
-	set := func(name string, v int64) {
+	s.Each(func(name string, v int64) {
 		n.reg.Counter(name, "core protocol counter (see core.Counters)").Set(v)
-	}
-	// Dissemination and overlay maintenance.
-	set("gocast_core_injected_total", s.Injected)
-	set("gocast_core_delivered_total", s.Delivered)
-	set("gocast_core_payloads_recv_total", s.PayloadsRecv)
-	set("gocast_core_duplicates_total", s.Duplicates)
-	set("gocast_core_tree_forwards_total", s.TreeForwards)
-	set("gocast_core_gossips_sent_total", s.GossipsSent)
-	set("gocast_core_gossips_recv_total", s.GossipsRecv)
-	set("gocast_core_ids_announced_total", s.IDsAnnounced)
-	set("gocast_core_pulls_sent_total", s.PullsSent)
-	set("gocast_core_pulls_served_total", s.PullsServed)
-	set("gocast_core_pull_retries_total", s.PullRetries)
-	set("gocast_core_reannounced_total", s.Reannounced)
-	set("gocast_core_adds_sent_total", s.AddsSent)
-	set("gocast_core_adds_accepted_total", s.AddsAccepted)
-	set("gocast_core_adds_rejected_total", s.AddsRejected)
-	set("gocast_core_link_adds_total", s.LinkAdds)
-	set("gocast_core_link_drops_total", s.LinkDrops)
-	set("gocast_core_rebalances_total", s.Rebalances)
-	set("gocast_core_pings_sent_total", s.PingsSent)
-	set("gocast_core_tree_adverts_total", s.TreeAdverts)
-	set("gocast_core_root_takeovers_total", s.RootTakeovers)
-	set("gocast_core_peer_downs_total", s.PeerDowns)
-	// Anti-entropy sync.
-	set("gocast_sync_requests_sent_total", s.SyncRequestsSent)
-	set("gocast_sync_requests_recv_total", s.SyncRequestsRecv)
-	set("gocast_sync_replies_sent_total", s.SyncRepliesSent)
-	set("gocast_sync_replies_recv_total", s.SyncRepliesRecv)
-	set("gocast_sync_items_sent_total", s.SyncItemsSent)
-	set("gocast_sync_items_recv_total", s.SyncItemsRecv)
-	set("gocast_sync_bytes_sent_total", s.SyncBytesSent)
-	set("gocast_sync_pull_misses_sent_total", s.PullMissesSent)
-	set("gocast_sync_pull_misses_recv_total", s.PullMissesRecv)
-	// Churn hygiene.
-	set("gocast_churn_stale_inc_rejects_total", s.StaleIncRejects)
-	set("gocast_churn_obits_recorded_total", s.ObitsRecorded)
-	set("gocast_churn_obits_honored_total", s.ObitsHonored)
-	set("gocast_churn_stale_links_dropped_total", s.StaleLinksDropped)
-	set("gocast_churn_rejoins_observed_total", s.RejoinsObserved)
-	set("gocast_churn_self_refutes_total", s.SelfRefutes)
-	// Erasure-coded bulk dissemination (coopcast).
-	set("gocast_fec_symbols_sent_total", s.SymbolsSent)
-	set("gocast_fec_symbols_recv_total", s.SymbolsRecv)
-	set("gocast_fec_symbols_served_total", s.SymbolsServed)
-	set("gocast_fec_symbol_dups_total", s.SymbolDups)
-	set("gocast_fec_symbols_rejected_total", s.SymbolsRejected)
-	set("gocast_fec_symbol_pulls_sent_total", s.SymbolPullsSent)
-	set("gocast_fec_decodes_total", s.FECDecodes)
-	set("gocast_fec_decode_failures_total", s.FECDecodeFailures)
+	})
 	n.reg.Gauge("gocast_churn_incarnation", "this node's current incarnation number").Set(int64(inc))
 	// Overlay and membership occupancy.
 	n.reg.Gauge("gocast_core_degree", "current overlay degree").Set(int64(degree))

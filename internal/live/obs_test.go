@@ -1,6 +1,7 @@
 package live
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -271,6 +272,31 @@ func TestDisabledBufferRecordsNothing(t *testing.T) {
 			t.Fatalf("default-capacity event ring recorded nothing")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestEveryCoreCounterInFirstScrape pins that each core.Counters field is
+// exported, at zero, by a fresh node's first scrape, under the name its
+// metric tag gives, with no two fields sharing a name.
+func TestEveryCoreCounterInFirstScrape(t *testing.T) {
+	n := NewNode(NodeOptions{ID: 0, Config: FastConfig(), Transport: NewMemNetwork(0, 1).Endpoint("a"), Seed: 1})
+	defer n.Close()
+	got := map[string]int64{}
+	for _, m := range n.Registry().Gather() {
+		got[m.Name] = m.Value
+	}
+	typ := reflect.TypeOf(core.Counters{})
+	seen := map[string]string{}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name := f.Tag.Get("metric")
+		if prev, dup := seen[name]; dup {
+			t.Errorf("core.Counters.%s and .%s share metric name %q", prev, f.Name, name)
+		}
+		seen[name] = f.Name
+		if v, ok := got[name]; !ok || v != 0 {
+			t.Errorf("core.Counters.%s: first scrape has %q = %d, present %v; want present at 0", f.Name, name, v, ok)
+		}
 	}
 }
 

@@ -115,7 +115,7 @@ func (c *Cluster) AtomicityViolations(grace time.Duration) int {
 // AtomicityOffenders returns the message IDs that AtomicityViolations
 // would count against — messages old enough to judge that at least one
 // stably-up node never received — in injection order. When dissemination
-// tracing is on (Options.Spans), stitching a trace for one of these shows
+// tracing is on (sampled records from Options.Trace), stitching a trace for one of these shows
 // exactly where its dissemination tree stopped short.
 func (c *Cluster) AtomicityOffenders(grace time.Duration) []core.MessageID {
 	var out []core.MessageID
@@ -234,8 +234,9 @@ func (c *Cluster) NearDegreeHistogram() *metrics.IntHistogram {
 	return h
 }
 
-// OverlayGraph snapshots the overlay as an undirected graph (an edge per
-// link acknowledged by at least one endpoint).
+// OverlayGraph snapshots the overlay as an undirected graph: an edge per
+// link the lower-ID endpoint holds. A link only the higher-ID endpoint
+// holds is left out.
 func (c *Cluster) OverlayGraph() *graph.Undirected {
 	g := graph.NewUndirected(len(c.nodes))
 	for i, n := range c.nodes {
@@ -327,52 +328,7 @@ func (c *Cluster) TreeSpans(root int) bool {
 func (c *Cluster) SumCounters() core.Counters {
 	var t core.Counters
 	for _, n := range c.nodes {
-		s := n.Stats()
-		t.Injected += s.Injected
-		t.Delivered += s.Delivered
-		t.PayloadsRecv += s.PayloadsRecv
-		t.Duplicates += s.Duplicates
-		t.TreeForwards += s.TreeForwards
-		t.GossipsSent += s.GossipsSent
-		t.GossipsRecv += s.GossipsRecv
-		t.IDsAnnounced += s.IDsAnnounced
-		t.PullsSent += s.PullsSent
-		t.PullsServed += s.PullsServed
-		t.PullRetries += s.PullRetries
-		t.Reannounced += s.Reannounced
-		t.SyncRequestsSent += s.SyncRequestsSent
-		t.SyncRequestsRecv += s.SyncRequestsRecv
-		t.SyncRepliesSent += s.SyncRepliesSent
-		t.SyncRepliesRecv += s.SyncRepliesRecv
-		t.SyncItemsSent += s.SyncItemsSent
-		t.SyncItemsRecv += s.SyncItemsRecv
-		t.SyncBytesSent += s.SyncBytesSent
-		t.PullMissesSent += s.PullMissesSent
-		t.PullMissesRecv += s.PullMissesRecv
-		t.AddsSent += s.AddsSent
-		t.AddsAccepted += s.AddsAccepted
-		t.AddsRejected += s.AddsRejected
-		t.LinkAdds += s.LinkAdds
-		t.LinkDrops += s.LinkDrops
-		t.Rebalances += s.Rebalances
-		t.PingsSent += s.PingsSent
-		t.TreeAdverts += s.TreeAdverts
-		t.RootTakeovers += s.RootTakeovers
-		t.PeerDowns += s.PeerDowns
-		t.StaleIncRejects += s.StaleIncRejects
-		t.ObitsRecorded += s.ObitsRecorded
-		t.ObitsHonored += s.ObitsHonored
-		t.StaleLinksDropped += s.StaleLinksDropped
-		t.RejoinsObserved += s.RejoinsObserved
-		t.SelfRefutes += s.SelfRefutes
-		t.SymbolsSent += s.SymbolsSent
-		t.SymbolsRecv += s.SymbolsRecv
-		t.SymbolsServed += s.SymbolsServed
-		t.SymbolDups += s.SymbolDups
-		t.SymbolsRejected += s.SymbolsRejected
-		t.SymbolPullsSent += s.SymbolPullsSent
-		t.FECDecodes += s.FECDecodes
-		t.FECDecodeFailures += s.FECDecodeFailures
+		t.Add(n.Stats())
 	}
 	return t
 }

@@ -61,8 +61,8 @@ func (c *Cluster) Kill(i int) {
 	}
 }
 
-// KillFraction kills ceil(frac*n) uniformly random live nodes and returns
-// their indexes.
+// KillFraction kills frac*n uniformly random live nodes, n live nodes
+// rounded to the nearest whole node, and returns their indexes.
 func (c *Cluster) KillFraction(frac float64) []int {
 	var live []int
 	for i, a := range c.alive {

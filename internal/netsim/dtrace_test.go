@@ -11,6 +11,16 @@ import (
 	"gocast/internal/dtrace"
 )
 
+// sampledInto returns a Trace sink that keeps the records of sampled
+// messages in buf.
+func sampledInto(buf *dtrace.Buffer) func(dtrace.Span) {
+	return func(s dtrace.Span) {
+		if s.Sampled {
+			buf.Record(s)
+		}
+	}
+}
+
 // runTracedLossy boots a traced cluster, injects messages under 10% loss,
 // and returns the stitched traces plus the raw span snapshot.
 func runTracedLossy(t testing.TB, seed int64) ([]*dtrace.MessageTrace, []dtrace.Span) {
@@ -18,7 +28,7 @@ func runTracedLossy(t testing.TB, seed int64) ([]*dtrace.MessageTrace, []dtrace.
 	cfg := core.DefaultConfig()
 	cfg.TraceSampleEvery = 1
 	spans := dtrace.NewBuffer(64 * 8 * 16)
-	c := New(Options{Nodes: 64, Seed: seed, Config: cfg, Spans: spans})
+	c := New(Options{Nodes: 64, Seed: seed, Config: cfg, Trace: sampledInto(spans)})
 	c.BootstrapMembership(cfg.MemberViewSize / 2)
 	c.WireRandom(cfg.TargetDegree() / 2)
 	c.Start(0)
@@ -28,7 +38,7 @@ func runTracedLossy(t testing.TB, seed int64) ([]*dtrace.MessageTrace, []dtrace.
 	c.InjectStream(8, 100, nil)
 	c.Run(30 * time.Second)
 
-	got := c.Spans()
+	got := spans.Snapshot()
 	if d := spans.Dropped(); d != 0 {
 		t.Fatalf("span buffer evicted %d spans; size the buffer for the run", d)
 	}
@@ -127,7 +137,7 @@ func TestTracingDeterministic(t *testing.T) {
 func TestTracingOffLeavesNoSpans(t *testing.T) {
 	cfg := core.DefaultConfig()
 	spans := dtrace.NewBuffer(1024)
-	c := New(Options{Nodes: 16, Seed: 5, Config: cfg, Spans: spans})
+	c := New(Options{Nodes: 16, Seed: 5, Config: cfg, Trace: sampledInto(spans)})
 	c.BootstrapMembership(cfg.MemberViewSize / 2)
 	c.WireRandom(cfg.TargetDegree() / 2)
 	c.Start(0)
@@ -148,7 +158,7 @@ func TestTracingCoopcastShowsAdvertAndPull(t *testing.T) {
 	cfg := coopcastTestConfig()
 	cfg.TraceSampleEvery = 1
 	spans := dtrace.NewBuffer(1 << 14)
-	c := New(Options{Nodes: n, Seed: 13, Config: cfg, Spans: spans})
+	c := New(Options{Nodes: n, Seed: 13, Config: cfg, Trace: sampledInto(spans)})
 	c.BootstrapMembership(cfg.MemberViewSize / 2)
 	c.WireRandom(cfg.TargetDegree() / 2)
 	c.Start(0)
@@ -159,13 +169,13 @@ func TestTracingCoopcastShowsAdvertAndPull(t *testing.T) {
 		t.Fatalf("span buffer evicted %d spans", d)
 	}
 	kinds := map[dtrace.Kind]int{}
-	for _, s := range c.Spans() {
+	for _, s := range spans.Snapshot() {
 		kinds[s.Kind]++
 	}
 	if kinds[dtrace.KindAdvert] == 0 || kinds[dtrace.KindPull] == 0 {
 		t.Fatalf("coopcast left %d advert and %d pull spans, want both", kinds[dtrace.KindAdvert], kinds[dtrace.KindPull])
 	}
-	traces := dtrace.Stitch(c.Spans())
+	traces := dtrace.Stitch(spans.Snapshot())
 	if len(traces) != 1 {
 		t.Fatalf("stitched %d messages, want 1", len(traces))
 	}

@@ -40,15 +40,13 @@ type Options struct {
 	// Observer, if set, sees every transmission.
 	Observer Observer
 	// Trace, if set, receives every node's telemetry records (deliveries,
-	// sends, pulls, link/parent/root changes, ...; see dtrace.Kind) for
-	// debugging.
+	// sends, pulls, link/parent/root changes, ...; see dtrace.Kind).
+	// Records of sampled messages carry Sampled (see internal/dtrace;
+	// sampling is controlled by Config.TraceSampleEvery); a sink that
+	// keeps only those in one dtrace.Buffer stitches exactly, since a
+	// traced cluster runs on one thread and virtual time is globally
+	// comparable.
 	Trace func(dtrace.Span)
-	// Spans, if set, collects the dissemination trace spans of sampled
-	// messages from every node (see internal/dtrace; sampling is
-	// controlled by Config.TraceSampleEvery). The engine is
-	// single-threaded and virtual time is globally comparable, so one
-	// shared buffer stitches exactly.
-	Spans *dtrace.Buffer
 	// Shards requests conservative parallel execution: nodes are
 	// partitioned into region shards along the latency matrix's
 	// geographic clusters, each shard advances on its own event engine
@@ -58,7 +56,7 @@ type Options struct {
 	// 0 or 1 runs sequentially. The effective count may be lower than
 	// requested (few sites, or no positive inter-shard latency floor —
 	// e.g. every node on one site — falls back to sequential); clusters
-	// with an Observer, Trace, or Spans buffer always run sequentially,
+	// with an Observer or a Trace sink always run sequentially,
 	// since those record from inside node callbacks and assume a single
 	// thread. Admission caps and link faults are incompatible with
 	// sharded execution (SetAdmission / SetFaults panic).
@@ -238,7 +236,7 @@ func New(opts Options) *Cluster {
 // a single shard sharing the control engine (plain sequential execution).
 func (c *Cluster) buildShards() {
 	want := c.opts.Shards
-	if c.opts.Observer != nil || c.opts.Trace != nil || c.opts.Spans != nil {
+	if c.opts.Observer != nil || c.opts.Trace != nil {
 		want = 1
 	}
 	var siteShard []int
@@ -358,10 +356,10 @@ func (c *Cluster) buildNode(i int) *core.Node {
 }
 
 // nodeObs is the observer netsim installs on every node: parent records
-// feed the tree-repair accounting, and the optional sinks get every
-// record (Trace) or the sampled trace spans (Spans). The accounting
-// writes only slot idx's cell and the locked recorder, so it is safe on
-// any shard; the sinks force sequential execution.
+// feed the tree-repair accounting, and the optional Trace sink gets every
+// record. The accounting writes only slot idx's cell and the locked
+// recorder, so it is safe on any shard; the sink forces sequential
+// execution.
 type nodeObs struct {
 	c   *Cluster
 	idx int
@@ -374,18 +372,6 @@ func (o *nodeObs) Observe(s dtrace.Span) {
 	if o.c.opts.Trace != nil {
 		o.c.opts.Trace(s)
 	}
-	if s.Sampled && o.c.opts.Spans != nil {
-		o.c.opts.Spans.Record(s)
-	}
-}
-
-// Spans snapshots the cluster-wide dissemination span buffer (nil Options.
-// Spans yields nil).
-func (c *Cluster) Spans() []dtrace.Span {
-	if c.opts.Spans == nil {
-		return nil
-	}
-	return c.opts.Spans.Snapshot()
 }
 
 // landmarkEntries returns the landmark set (the first LandmarkCount slots)

@@ -8,6 +8,7 @@ import (
 
 	"gocast/internal/churn"
 	"gocast/internal/core"
+	"gocast/internal/netsim"
 )
 
 // Options configures one scenario run.
@@ -159,7 +160,7 @@ func (e *engine) runPhase(i int) {
 	var flapStop *atomic.Bool
 	if p.Flap != nil {
 		flapStop = e.startFlap(i, p, faults, &pr)
-	} else if !faults.empty() {
+	} else if !noFaults(faults) {
 		e.sub.setFaults(faults)
 		for kind, n := range installKinds(p) {
 			pr.Faults[kind] += n
@@ -187,7 +188,7 @@ func (e *engine) runPhase(i int) {
 	if floodStop != nil {
 		floodStop.Store(true)
 	}
-	e.sub.setFaults(&compiledFaults{})
+	e.sub.setFaults(nil)
 	if n := e.sub.churnEvents() - churnBefore; n > 0 {
 		pr.Faults["churn"] += n
 		e.m.FaultInjected("churn", n)
@@ -199,12 +200,13 @@ func (e *engine) runPhase(i int) {
 }
 
 // compileFaults resolves a phase's group-level fault declarations to node
-// indexes.
-func (e *engine) compileFaults(i int, p *Phase) *compiledFaults {
+// indexes. The phase-wide loss rule comes first, ahead of the link rules,
+// which fixes the order of netsim's loss and jitter draws.
+func (e *engine) compileFaults(i int, p *Phase) *netsim.FaultSpec {
 	s := e.s
-	f := &compiledFaults{
-		seed: SubSeed(e.seed, fmt.Sprintf("faults/%d", i)),
-		loss: p.Loss,
+	f := &netsim.FaultSpec{Seed: SubSeed(e.seed, fmt.Sprintf("faults/%d", i))}
+	if p.Loss > 0 {
+		f.Rules = append(f.Rules, netsim.LinkFault{Loss: p.Loss})
 	}
 	cells := p.Partition
 	if p.Flap != nil {
@@ -218,21 +220,21 @@ func (e *engine) compileFaults(i int, p *Phase) *compiledFaults {
 				idx = append(idx, k)
 			}
 		}
-		f.partition = append(f.partition, idx)
+		f.Partition = append(f.Partition, idx)
 	}
 	for _, l := range p.Links {
-		cl := compiledLink{
-			delay:       time.Duration(l.Delay),
-			jitter:      time.Duration(l.Jitter),
-			bytesPerSec: l.BytesPerSec,
+		lf := netsim.LinkFault{
+			Extra:       time.Duration(l.Delay),
+			Jitter:      time.Duration(l.Jitter),
+			BytesPerSec: l.BytesPerSec,
 		}
 		if l.From != "" {
-			cl.fromLo, cl.fromHi, _ = s.GroupRange(l.From)
+			lf.From.Lo, lf.From.Hi, _ = s.GroupRange(l.From)
 		}
 		if l.To != "" {
-			cl.toLo, cl.toHi, _ = s.GroupRange(l.To)
+			lf.To.Lo, lf.To.Hi, _ = s.GroupRange(l.To)
 		}
-		f.links = append(f.links, cl)
+		f.Rules = append(f.Rules, lf)
 	}
 	return f
 }
@@ -256,7 +258,7 @@ func installKinds(p *Phase) map[string]int64 {
 
 // startFlap installs the flap's partition and schedules toggles every
 // half period until the phase ends.
-func (e *engine) startFlap(i int, p *Phase, faults *compiledFaults, pr *PhaseResult) *atomic.Bool {
+func (e *engine) startFlap(i int, p *Phase, faults *netsim.FaultSpec, pr *PhaseResult) *atomic.Bool {
 	stop := &atomic.Bool{}
 	on := true
 	e.sub.setFaults(faults)
@@ -274,7 +276,7 @@ func (e *engine) startFlap(i int, p *Phase, faults *compiledFaults, pr *PhaseRes
 		} else {
 			// Heal: keep non-partition faults (loss/links) active.
 			healed := *faults
-			healed.partition = nil
+			healed.Partition = nil
 			e.sub.setFaults(&healed)
 		}
 		pr.Faults["flap"]++

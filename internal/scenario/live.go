@@ -10,6 +10,7 @@ import (
 	"gocast/internal/core"
 	"gocast/internal/latency"
 	"gocast/internal/live"
+	"gocast/internal/netsim"
 )
 
 // liveSub runs a scenario on the wall-clock runtime over the in-memory
@@ -151,23 +152,19 @@ func (l *liveSub) publish(i int, payload []byte) bool {
 // setFaults re-expresses the compiled fault state as one open-ended
 // FaultPhase on the shared controller. Per-pair rules enumerate the
 // concrete "mem-<i>" endpoint addresses.
-func (l *liveSub) setFaults(f *compiledFaults) {
+func (l *liveSub) setFaults(f *netsim.FaultSpec) {
 	l.ctl.Clear()
-	if f.empty() {
+	if noFaults(f) {
 		return
 	}
 	at := l.ctl.Elapsed()
 	p := live.FaultPhase{Start: at, End: 0} // End<=Start: holds until Clear
-	for _, cell := range f.partition {
+	for _, cell := range f.Partition {
 		addrs := make([]string, len(cell))
 		for k, i := range cell {
 			addrs[k] = fmt.Sprintf("mem-%d", i)
 		}
 		p.Partition = append(p.Partition, addrs)
-	}
-	if f.loss > 0 {
-		p.Drop = f.loss
-		p.DropReliable = f.loss
 	}
 	n := l.c.Size()
 	clampHi := func(hi int) int {
@@ -176,34 +173,38 @@ func (l *liveSub) setFaults(f *compiledFaults) {
 		}
 		return hi
 	}
-	for _, link := range f.links {
-		fLo, fHi := link.fromLo, clampHi(link.fromHi)
-		tLo, tHi := link.toLo, clampHi(link.toHi)
-		if link.fromLo == 0 && link.fromHi == 0 {
-			fLo, fHi = 0, n
+	for _, link := range f.Rules {
+		if link.Loss > 0 {
+			// Only the phase-wide rule, which matches every pair, carries
+			// a loss probability.
+			p.Drop = link.Loss
+			p.DropReliable = link.Loss
 		}
-		if link.toLo == 0 && link.toHi == 0 {
-			tLo, tHi = 0, n
+		// Scale delays with the schedule so a slow link stays
+		// proportionate to the compressed phase; fold jitter in at its
+		// midpoint (per-pair jitter is a netsim-only fidelity).
+		extra := time.Duration(float64(link.Extra+link.Jitter/2) * l.scale)
+		if extra <= 0 && link.BytesPerSec <= 0 {
+			continue
 		}
+		// A zero (wildcard) range clamps to every node.
+		fLo, fHi := link.From.Lo, clampHi(link.From.Hi)
+		tLo, tHi := link.To.Lo, clampHi(link.To.Hi)
 		for from := fLo; from < fHi; from++ {
 			for to := tLo; to < tHi; to++ {
 				if from == to {
 					continue
 				}
 				fa, ta := fmt.Sprintf("mem-%d", from), fmt.Sprintf("mem-%d", to)
-				// Scale delays with the schedule so a slow link stays
-				// proportionate to the compressed phase; fold jitter in at
-				// its midpoint (per-pair jitter is a netsim-only fidelity).
-				extra := time.Duration(float64(link.delay+link.jitter/2) * l.scale)
 				if extra > 0 {
 					p.Slow = append(p.Slow, live.SlowLink{From: fa, To: ta, Extra: extra})
 				}
-				if link.bytesPerSec > 0 {
+				if link.BytesPerSec > 0 {
 					// Scale the rate up so bytes-per-scenario-second are
 					// preserved under time compression.
 					p.Bandwidth = append(p.Bandwidth, live.BandwidthCap{
 						From: fa, To: ta,
-						BytesPerSec: int64(float64(link.bytesPerSec) / l.scale),
+						BytesPerSec: int64(float64(link.BytesPerSec) / l.scale),
 					})
 				}
 			}

@@ -47,7 +47,11 @@ func newNetsimSub(s *Scenario, seed int64, cfg core.Config) *netsimSub {
 		Nodes:  n,
 		Seed:   SubSeed(seed, "netsim"),
 		Config: cfg,
-		Spans:  spans,
+		Trace: func(s dtrace.Span) {
+			if s.Sampled {
+				spans.Record(s)
+			}
+		},
 	})
 	c.BootstrapMembership(cfg.MemberViewSize / 2)
 	init := cfg.TargetDegree() / 2
@@ -90,25 +94,11 @@ func (n *netsimSub) publish(i int, payload []byte) bool {
 	return true
 }
 
-func (n *netsimSub) setFaults(f *compiledFaults) {
-	if f.empty() {
-		n.c.SetFaults(nil)
-		return
+func (n *netsimSub) setFaults(f *netsim.FaultSpec) {
+	if noFaults(f) {
+		f = nil
 	}
-	spec := &netsim.FaultSpec{Seed: f.seed, Partition: f.partition}
-	if f.loss > 0 {
-		spec.Rules = append(spec.Rules, netsim.LinkFault{Loss: f.loss})
-	}
-	for _, l := range f.links {
-		spec.Rules = append(spec.Rules, netsim.LinkFault{
-			From:        netsim.NodeRange{Lo: l.fromLo, Hi: l.fromHi},
-			To:          netsim.NodeRange{Lo: l.toLo, Hi: l.toHi},
-			Extra:       l.delay,
-			Jitter:      l.jitter,
-			BytesPerSec: l.bytesPerSec,
-		})
-	}
-	n.c.SetFaults(spec)
+	n.c.SetFaults(f)
 }
 
 func (n *netsimSub) startChurn(opts churn.Options) {

@@ -4,30 +4,13 @@ import (
 	"time"
 
 	"gocast/internal/churn"
+	"gocast/internal/netsim"
 )
 
-// compiledLink is a LinkRule resolved to node-index ranges. Zero-valued
-// ranges ({0,0}) match every node, mirroring netsim.NodeRange.
-type compiledLink struct {
-	fromLo, fromHi int
-	toLo, toHi     int
-	delay, jitter  time.Duration
-	bytesPerSec    int64
-}
-
-// compiledFaults is a phase's fault state resolved to node indexes; the
-// zero value means "no faults" and clears everything when installed.
-type compiledFaults struct {
-	// seed drives loss/jitter randomness in the substrate's fault layer,
-	// derived from the scenario master seed.
-	seed      int64
-	partition [][]int
-	loss      float64
-	links     []compiledLink
-}
-
-func (f *compiledFaults) empty() bool {
-	return f == nil || (len(f.partition) == 0 && f.loss == 0 && len(f.links) == 0)
+// noFaults reports whether installing f clears every fault: a nil spec,
+// or one with no partition and no rules.
+func noFaults(f *netsim.FaultSpec) bool {
+	return f == nil || (len(f.Partition) == 0 && len(f.Rules) == 0)
 }
 
 // restartContact is the slot a scenario restart of slot i rejoins
@@ -59,8 +42,8 @@ type substrate interface {
 	// publish starts a multicast at node i; false if rejected (dead node
 	// or overload backpressure).
 	publish(i int, payload []byte) bool
-	// setFaults replaces the active fault state (empty = clear).
-	setFaults(f *compiledFaults)
+	// setFaults replaces the active fault state (nil or empty = clear).
+	setFaults(f *netsim.FaultSpec)
 	// startChurn launches a churn burst; events execute on the substrate
 	// clock and stop at the plan horizon.
 	startChurn(opts churn.Options)

@@ -5,12 +5,12 @@ import (
 	"time"
 )
 
-// Memory is the production in-memory MessageStore: a hash map for O(1)
-// lookup, per-source sorted sequence indexes for ordered range scans and
-// digests, FIFO eviction against the count and byte caps, and
-// stability-based reclamation with an age fallback. It is not goroutine
-// safe: core drives every method, Counters, Len and Bytes included, from
-// the node's event loop.
+// Memory buffers multicast payloads between receipt and reclamation: a
+// hash map for O(1) lookup, per-source sorted sequence indexes for ordered
+// range scans and digests, FIFO eviction against the count and byte caps,
+// and stability-based reclamation with an age fallback. It is not
+// goroutine safe: core drives every method, Counters, Len and Bytes
+// included, from the node's event loop.
 //
 // Records live in a slab: the map stores slot indices into one flat
 // []memRec, and dropped slots are recycled through a free list. In
@@ -74,8 +74,6 @@ type memRec struct {
 	dropAt    time.Duration
 }
 
-var _ MessageStore = (*Memory)(nil)
-
 // pk packs an ID into the uint64 map key.
 func pk(id ID) uint64 { return uint64(uint32(id.Source))<<32 | uint64(id.Seq) }
 
@@ -135,8 +133,9 @@ func (m *Memory) lookup(id ID) *memRec {
 	return nil
 }
 
-// Put inserts a payload, evicting the oldest live records if the caps
-// would be exceeded.
+// Put inserts a payload under id at time now. It reports false (and
+// stores nothing) if the ID is already present, reclaimed or not.
+// Inserting may evict the oldest live records to respect the caps.
 func (m *Memory) Put(id ID, payload []byte, now time.Duration) bool {
 	k := pk(id)
 	if _, ok := m.recs[k]; ok {
@@ -189,8 +188,9 @@ func (m *Memory) reclaim(id ID, r *memRec, now time.Duration) {
 	m.removeSeq(id)
 }
 
-// Get returns the payload of a live whole record; symbol-granular records
-// answer through GetSymbol / RangeSymbols instead.
+// Get returns the payload, or ok=false if the ID is absent, its payload
+// has been reclaimed or evicted, or the record is symbol-granular (use
+// GetSymbol / RangeSymbols for those).
 func (m *Memory) Get(id ID) ([]byte, bool) {
 	r := m.lookup(id)
 	if r == nil || r.reclaimed || r.syms != nil {
@@ -199,7 +199,15 @@ func (m *Memory) Get(id ID) ([]byte, bool) {
 	return r.payload, true
 }
 
-// PutSymbol inserts one symbol, creating the record on first contact.
+// PutSymbol inserts one erasure-coded symbol of a symbol-granular
+// (coopcast) record. The first symbol creates the record — which occupies
+// exactly one slot in the count cap, the digest, and the eviction queue,
+// same as a whole record — and fixes its geometry; later symbols must
+// match it. It reports false for duplicate or out-of-range indexes,
+// geometry mismatches, reclaimed records, and IDs already held as whole
+// payloads. Symbol bytes count against the byte cap as they arrive, so a
+// flood of partial messages evicts oldest-first exactly like whole
+// payloads.
 func (m *Memory) PutSymbol(id ID, idx int, data []byte, meta SymbolMeta, now time.Duration) bool {
 	if meta.K == 0 || meta.N < meta.K || int(meta.N) > SymbolWords*64 || idx < 0 || idx >= int(meta.N) {
 		m.ctr.rejectedSymbolPuts++
@@ -237,7 +245,9 @@ func (m *Memory) GetSymbol(id ID, idx int) ([]byte, bool) {
 	return r.syms[idx], true
 }
 
-// SymbolInfo reports a live symbol-granular record's geometry and bitmap.
+// SymbolInfo reports a live symbol-granular record's geometry and the
+// bitmap of symbols currently held. ok is false for whole records,
+// reclaimed records, and unknown IDs.
 func (m *Memory) SymbolInfo(id ID) (SymbolMeta, SymbolSet, bool) {
 	r := m.lookup(id)
 	if r == nil || r.reclaimed || r.syms == nil {
@@ -246,7 +256,8 @@ func (m *Memory) SymbolInfo(id ID) (SymbolMeta, SymbolSet, bool) {
 	return r.symMeta, r.have, true
 }
 
-// RangeSymbols visits held symbols in ascending index order.
+// RangeSymbols visits a live symbol-granular record's held symbols in
+// ascending index order, stopping early when visit returns false.
 func (m *Memory) RangeSymbols(id ID, visit func(idx int, data []byte) bool) {
 	r := m.lookup(id)
 	if r == nil || r.reclaimed || r.syms == nil {
@@ -262,27 +273,38 @@ func (m *Memory) RangeSymbols(id ID, visit func(idx int, data []byte) bool) {
 	}
 }
 
-// Has reports whether the ID is known, live or tombstoned.
+// Has reports whether the ID is known at all — live or tombstoned — for
+// duplicate suppression.
 func (m *Memory) Has(id ID) bool {
 	_, ok := m.recs[pk(id)]
 	return ok
 }
 
-// MarkStable schedules reclamation Retention from now.
+// MarkStable records that every current overlay neighbor has the message
+// (heard or acked via gossip): its payload becomes reclaimable Retention
+// after now. Unknown or reclaimed IDs are ignored.
 func (m *Memory) MarkStable(id ID, now time.Duration) {
 	if r := m.lookup(id); r != nil && !r.reclaimed {
 		r.releaseAt = now + m.limits.Retention
 	}
 }
 
-// Unstable cancels a pending reclamation.
+// Unstable cancels a pending reclamation (a new neighbor appeared that
+// may still need the payload). Ignored for reclaimed IDs.
 func (m *Memory) Unstable(id ID) {
 	if r := m.lookup(id); r != nil && !r.reclaimed {
 		r.releaseAt = 0
 	}
 }
 
-// Digest summarizes live holdings as sorted per-source watermark ranges.
+// Digest summarizes live holdings as per-source watermark ranges, sorted
+// by source for deterministic wire encoding. Symbol-granular records
+// contribute exactly one sequence number each, the same as whole records,
+// from their very first symbol: the digest's shape — and therefore the
+// watermark sync protocol's interior-hole caveat — is unchanged by
+// coopcast. A partially-assembled message sits inside the watermark and is
+// invisible to sync by design; the gossip symbol-advert/pull layer owns
+// completing it.
 func (m *Memory) Digest() []SourceRange {
 	return m.DigestAppend(nil)
 }
@@ -305,8 +327,10 @@ func (m *Memory) DigestAppend(dst []SourceRange) []SourceRange {
 	return out
 }
 
-// Range visits one source's live messages in [low, high] in ascending
-// sequence order.
+// Range visits the live messages of one source with low <= Seq <= high
+// in ascending sequence order, stopping early when visit returns false.
+// Symbol-granular records are visited with a nil payload; callers page
+// their symbols via SymbolInfo/RangeSymbols.
 func (m *Memory) Range(source int32, low, high uint32, visit func(id ID, payload []byte) bool) {
 	seqs := m.bySource[source]
 	i := sort.Search(len(seqs), func(k int) bool { return seqs[k] >= low })
@@ -322,9 +346,11 @@ func (m *Memory) Range(source int32, low, high uint32, visit func(id ID, payload
 	}
 }
 
-// GC sweeps: stable payloads past their release time and unstable payloads
-// past MaxAge are reclaimed; expired tombstones are dropped and their slab
-// slots recycled.
+// GC performs one sweep at time now: stable payloads past their retention
+// window and unstable payloads past MaxAge are reclaimed; tombstones past
+// TombstoneFor are dropped and their slab slots recycled. A
+// symbol-granular record that never completed (and so was never marked
+// stable) falls under the MaxAge fallback — partial messages cannot leak.
 func (m *Memory) GC(now time.Duration) GCResult {
 	var res GCResult
 	for k, i := range m.recs {
@@ -368,8 +394,8 @@ func (m *Memory) Len() int { return m.live }
 // Bytes returns the live payload bytes held.
 func (m *Memory) Bytes() int64 { return m.bytes }
 
-// Counters snapshots the store's activity counters, every name present
-// from the start.
+// Counters snapshots the store's activity counters (inserts, evictions,
+// reclaims, drops, ...), every name present from the start.
 func (m *Memory) Counters() map[string]int64 {
 	c := &m.ctr
 	return map[string]int64{

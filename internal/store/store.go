@@ -6,10 +6,11 @@
 // for sync, stability-based reclamation, and hard count/byte caps that keep
 // memory flat under sustained traffic.
 //
-// The package is deliberately independent of internal/core (core imports
-// it, not the other way around), so alternative implementations — disk
-// spill, sharded, instrumented test doubles — can be swapped in through
-// core's configuration without touching protocol code.
+// The package is independent of internal/core: core imports it and owns
+// one Memory per node. The store is not goroutine safe; core drives it from
+// the node's single logical thread. All times are substrate clock readings
+// supplied by the caller (simulated or real), never wall-clock reads taken
+// by the store itself.
 package store
 
 import (
@@ -170,77 +171,4 @@ type GCResult struct {
 	// Dropped lists records forgotten entirely; callers tracking
 	// per-message state keyed by ID should discard theirs too.
 	Dropped []ID
-}
-
-// MessageStore buffers multicast payloads between receipt and reclamation.
-// Implementations are not required to be goroutine-safe: core drives the
-// store from a node's single logical thread. All times are substrate clock
-// readings supplied by the caller (simulated or real), never wall-clock
-// reads taken by the store itself.
-type MessageStore interface {
-	// Put inserts a payload under id at time now. It reports false (and
-	// stores nothing) if the ID is already present, reclaimed or not.
-	// Inserting may evict the oldest live records to respect the caps.
-	Put(id ID, payload []byte, now time.Duration) bool
-	// Get returns the payload, or ok=false if the ID is absent, its
-	// payload has been reclaimed or evicted, or the record is
-	// symbol-granular (use GetSymbol / RangeSymbols for those).
-	Get(id ID) (payload []byte, ok bool)
-	// Has reports whether the ID is known at all — live or tombstoned —
-	// for duplicate suppression.
-	Has(id ID) bool
-	// MarkStable records that every current overlay neighbor has the
-	// message (heard or acked via gossip): its payload becomes
-	// reclaimable Retention after now. Unknown or reclaimed IDs are
-	// ignored.
-	MarkStable(id ID, now time.Duration)
-	// Unstable cancels a pending reclamation (a new neighbor appeared
-	// that may still need the payload). Ignored for reclaimed IDs.
-	Unstable(id ID)
-	// Digest summarizes live holdings as per-source watermark ranges,
-	// sorted by source for deterministic wire encoding. Symbol-granular
-	// records contribute exactly one sequence number each, the same as
-	// whole records, from their very first symbol: the digest's shape —
-	// and therefore the watermark sync protocol's interior-hole caveat —
-	// is unchanged by coopcast. A partially-assembled message sits inside
-	// the watermark and is invisible to sync by design; the gossip
-	// symbol-advert/pull layer owns completing it.
-	Digest() []SourceRange
-	// Range visits the live messages of one source with Low <= Seq <=
-	// High in ascending sequence order, stopping early when visit
-	// returns false. Symbol-granular records are visited with a nil
-	// payload; callers page their symbols via SymbolInfo/RangeSymbols.
-	Range(source int32, low, high uint32, visit func(id ID, payload []byte) bool)
-	// PutSymbol inserts one erasure-coded symbol of a symbol-granular
-	// (coopcast) record. The first symbol creates the record — which
-	// occupies exactly one slot in the count cap, the digest, and the
-	// eviction queue, same as a whole record — and fixes its geometry;
-	// later symbols must match it. It reports false for duplicate or
-	// out-of-range indexes, geometry mismatches, reclaimed records, and
-	// IDs already held as whole payloads. Symbol bytes count against the
-	// byte cap as they arrive, so a flood of partial messages evicts
-	// oldest-first exactly like whole payloads.
-	PutSymbol(id ID, idx int, data []byte, meta SymbolMeta, now time.Duration) bool
-	// GetSymbol returns one held symbol of a live symbol-granular record.
-	GetSymbol(id ID, idx int) (data []byte, ok bool)
-	// SymbolInfo reports a live symbol-granular record's geometry and the
-	// bitmap of symbols currently held. ok is false for whole records,
-	// reclaimed records, and unknown IDs.
-	SymbolInfo(id ID) (meta SymbolMeta, have SymbolSet, ok bool)
-	// RangeSymbols visits a live symbol-granular record's held symbols in
-	// ascending index order, stopping early when visit returns false.
-	RangeSymbols(id ID, visit func(idx int, data []byte) bool)
-	// GC performs one sweep at time now: stable payloads past their
-	// retention window and unstable payloads past MaxAge are reclaimed;
-	// tombstones past TombstoneFor are dropped. A symbol-granular record
-	// that never completed (and so was never marked stable) falls under
-	// the MaxAge fallback — partial messages cannot leak.
-	GC(now time.Duration) GCResult
-	// Len returns the number of live (payload-holding) records.
-	Len() int
-	// Bytes returns the total payload bytes currently held.
-	Bytes() int64
-	// Counters snapshots the store's activity counters (inserts,
-	// evictions, reclaims, drops, ...).
-	Counters() map[string]int64
 }
