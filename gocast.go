@@ -47,6 +47,7 @@ import (
 
 	"gocast/internal/churn"
 	"gocast/internal/core"
+	"gocast/internal/fault"
 	"gocast/internal/live"
 	"gocast/internal/netsim"
 	"gocast/internal/obs"
@@ -87,24 +88,20 @@ type (
 	TCPOptions = live.TCPOptions
 	// MemNetwork is an in-memory transport fabric for in-process groups.
 	MemNetwork = live.MemNetwork
-	// FaultPlan declares a schedule of injected network faults.
-	FaultPlan = live.FaultPlan
-	// FaultPhase is one time window of injected faults (drops, delays,
-	// duplicates, reorders, partitions, slow links).
-	FaultPhase = live.FaultPhase
-	// FaultController evaluates a FaultPlan consistently across a group of
-	// wrapped transports.
+	// FaultSpec is the active link-fault state: partitions, loss, extra
+	// delay and jitter, and bandwidth-capped links over node IDs. The
+	// simulator runs the same model.
+	FaultSpec = fault.Spec
+	// LinkFault shapes traffic between two ranges of node IDs.
+	LinkFault = fault.Link
+	// NodeRange selects node IDs [Lo, Hi); the zero value matches all.
+	NodeRange = fault.Range
+	// FaultController applies one FaultSpec consistently across a group
+	// of wrapped transports.
 	FaultController = live.FaultController
 	// FaultTransport applies a FaultController's verdicts on top of any
 	// Transport.
 	FaultTransport = live.FaultTransport
-	// Direction names an ordered endpoint pair for asymmetric fault rules.
-	Direction = live.Direction
-	// SlowLink adds extra delay to traffic matching one direction.
-	SlowLink = live.SlowLink
-	// BandwidthCap throttles matching traffic to a byte rate, modeled as a
-	// serial link with burst allowance.
-	BandwidthCap = live.BandwidthCap
 	// Cluster is an in-process group of live nodes.
 	Cluster = live.Cluster
 	// ClusterOptions configures an in-process cluster.
@@ -236,11 +233,11 @@ func NewTCPTransportWithOptions(id NodeID, listenAddr string, opts TCPOptions) (
 	return live.NewTCPTransportWithOptions(id, listenAddr, opts)
 }
 
-// NewFaultController starts a fault-injection controller; wrap every
-// transport of a test group through it so pairwise rules (partitions) are
-// consistent.
-func NewFaultController(plan FaultPlan) *FaultController {
-	return live.NewFaultController(plan)
+// NewFaultController starts a fault-injection controller with no fault
+// installed; wrap every transport of a test group through it so pairwise
+// rules (partitions) are consistent, then install faults with Set.
+func NewFaultController() *FaultController {
+	return live.NewFaultController()
 }
 
 // NewMemNetwork creates an in-memory transport fabric with the given base

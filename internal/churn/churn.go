@@ -1,7 +1,7 @@
 // Package churn generates seeded, Poisson-scheduled membership churn
 // plans: streams of join/leave/crash/restart events with exponential
-// inter-arrival times. A Plan is declarative (mirroring the live fault
-// layer's FaultPlan style) and substrate-agnostic — the same schedule
+// inter-arrival times. A Plan is declarative (like a fault.Spec) and
+// substrate-agnostic — the same schedule
 // drives the discrete-event simulator (internal/netsim) in virtual time
 // and the live runtime (internal/live) in wall-clock time, so churn
 // experiments are reproducible across both. A Runner executes the events:

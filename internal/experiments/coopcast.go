@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gocast/internal/core"
+	"gocast/internal/fault"
 	"gocast/internal/netsim"
 	"gocast/internal/underlay"
 )
@@ -105,7 +106,7 @@ func Coopcast(sc Scale, payloads []int, loss float64) *Report {
 		stress.Reset()
 		repairBytes, repairXfers = 0, 0
 		perLink = map[int64]int64{}
-		c.SetFaults(&netsim.FaultSpec{Seed: sc.Seed + 3, Rules: []netsim.LinkFault{{Loss: loss}}})
+		c.SetFaults(&fault.Spec{Seed: sc.Seed + 3, Rules: []fault.Link{{Loss: loss}}})
 		for i := 0; i < msgs; i++ {
 			c.Inject((i*17)%nodes, make([]byte, payload))
 			c.Run(10 * time.Second)

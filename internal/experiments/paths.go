@@ -6,6 +6,7 @@ import (
 
 	"gocast/internal/core"
 	"gocast/internal/dtrace"
+	"gocast/internal/fault"
 	"gocast/internal/netsim"
 )
 
@@ -49,9 +50,9 @@ func Paths(sc Scale, loss float64) *Report {
 	c.Start(0)
 	c.Run(sc.Warmup)
 
-	c.SetFaults(&netsim.FaultSpec{
+	c.SetFaults(&fault.Spec{
 		Seed:  sc.Seed + 41,
-		Rules: []netsim.LinkFault{{Loss: loss}},
+		Rules: []fault.Link{{Loss: loss}},
 	})
 	c.InjectStream(msgs, sc.Rate, nil)
 	c.Run(time.Duration(float64(msgs)/sc.Rate*float64(time.Second)) + sc.Drain)

@@ -32,9 +32,9 @@ type ClusterOptions struct {
 	// payload). Called on node event loops: do not block.
 	OnDeliver func(node int, id core.MessageID, payload []byte)
 	// Faults, if set, wraps every endpoint in the controller's fault
-	// injection layer (drops, delays, partitions, ...). Endpoint
-	// addresses are "mem-<index>", which is what FaultPhase rules match
-	// against.
+	// injection layer (partitions, loss, delays, bandwidth caps). A
+	// slot's node ID is its index, which is what fault.Spec ranges and
+	// partition cells name.
 	Faults *FaultController
 }
 
@@ -134,7 +134,7 @@ func (c *Cluster) newNode(i int) *Node {
 	ep := c.Net.Endpoint(fmt.Sprintf("mem-%d", i))
 	var tr Transport = ep
 	if c.opts.Faults != nil {
-		tr = c.opts.Faults.Wrap(ep)
+		tr = c.opts.Faults.Wrap(core.NodeID(i), ep)
 	}
 	var deliver core.DeliverFunc
 	if c.opts.OnDeliver != nil {

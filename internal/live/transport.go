@@ -138,8 +138,8 @@ func (t *MemTransport) Send(addr string, to core.NodeID, m core.Message) {
 	t.deliver(addr, to, m, true)
 }
 
-// SendDatagram delivers best-effort: a dead target is silent. Datagram
-// loss is a FaultTransport phase (FaultPhase.Drop), not a fabric setting.
+// SendDatagram delivers best-effort: a dead target is silent. Loss is a
+// FaultTransport rule (fault.Link.Loss), not a fabric setting.
 func (t *MemTransport) SendDatagram(addr string, to core.NodeID, m core.Message) {
 	t.deliver(addr, to, m, false)
 }

@@ -118,8 +118,21 @@ func (c *Cluster) AtomicityViolations(grace time.Duration) int {
 // tracing is on (sampled records from Options.Trace), stitching a trace for one of these shows
 // exactly where its dissemination tree stopped short.
 func (c *Cluster) AtomicityOffenders(grace time.Duration) []core.MessageID {
+	return c.offenders(grace, c.joined)
+}
+
+// RecoveryOffenders returns the message IDs that RecoveryViolations would
+// count against — messages old enough to judge that at least one live
+// node, in any of its lives, never received — in injection order.
+func (c *Cluster) RecoveryOffenders(grace time.Duration) []core.MessageID {
+	return c.offenders(grace, c.firstJoin)
+}
+
+// offenders lists, in injection order, the messages old enough to judge
+// that some node expected to receive them (by its since time) never did.
+func (c *Cluster) offenders(grace time.Duration, since []time.Duration) []core.MessageID {
 	var out []core.MessageID
-	c.expected(c.Engine.Now()-grace, c.joined, func(m, i int) bool {
+	c.expected(c.Engine.Now()-grace, since, func(m, i int) bool {
 		if c.recv[m][i] < 0 {
 			out = append(out, c.msgIDs[m])
 			return false

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gocast/internal/core"
+	"gocast/internal/fault"
 )
 
 // coopcastTestConfig enables erasure-coded bulk dissemination on top of
@@ -31,7 +32,7 @@ func TestCoopcastLossyLinksReassemble(t *testing.T) {
 	c.Start(0)
 	c.Run(60 * time.Second)
 
-	c.SetFaults(&FaultSpec{Seed: 5, Rules: []LinkFault{{Loss: 0.08}}})
+	c.SetFaults(&fault.Spec{Seed: 5, Rules: []fault.Link{{Loss: 0.08}}})
 	payload := make([]byte, 64<<10)
 	rand.New(rand.NewSource(21)).Read(payload)
 	c.Inject(0, payload)

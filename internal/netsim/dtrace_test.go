@@ -9,6 +9,7 @@ import (
 
 	"gocast/internal/core"
 	"gocast/internal/dtrace"
+	"gocast/internal/fault"
 )
 
 // sampledInto returns a Trace sink that keeps the records of sampled
@@ -34,7 +35,7 @@ func runTracedLossy(t testing.TB, seed int64) ([]*dtrace.MessageTrace, []dtrace.
 	c.Start(0)
 	c.Run(90 * time.Second)
 
-	c.SetFaults(&FaultSpec{Seed: seed + 1, Rules: []LinkFault{{Loss: 0.10}}})
+	c.SetFaults(&fault.Spec{Seed: seed + 1, Rules: []fault.Link{{Loss: 0.10}}})
 	c.InjectStream(8, 100, nil)
 	c.Run(30 * time.Second)
 

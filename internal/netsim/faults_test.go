@@ -5,10 +5,11 @@ import (
 	"time"
 
 	"gocast/internal/core"
+	"gocast/internal/fault"
 )
 
 // fastTestConfig returns protocol timing that converges quickly in
-// virtual minutes, shared by the fault-model tests.
+// virtual minutes, shared by the fault and coopcast tests.
 func fastTestConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.SyncInterval = 5 * time.Second
@@ -28,9 +29,10 @@ func buildFaultTestCluster(t *testing.T, n int, seed int64) *Cluster {
 	return c
 }
 
-// TestFaultPartitionBlocksAndHeals cuts the cluster in two, checks that
-// messages cannot cross, clears the partition, and checks sync repairs the
-// backlog.
+// TestFaultPartitionBlocksAndHeals is the end-to-end check of SetFaults
+// (the judge itself is tested in internal/fault): it cuts the cluster in
+// two, checks that messages cannot cross, clears the partition, and checks
+// sync repairs the backlog.
 func TestFaultPartitionBlocksAndHeals(t *testing.T) {
 	const n = 24
 	c := buildFaultTestCluster(t, n, 11)
@@ -44,7 +46,7 @@ func TestFaultPartitionBlocksAndHeals(t *testing.T) {
 			right = append(right, i)
 		}
 	}
-	c.SetFaults(&FaultSpec{Seed: 1, Partition: [][]int{left, right}})
+	c.SetFaults(&fault.Spec{Seed: 1, Partition: [][]int{left, right}})
 	c.Inject(0, nil)
 	c.Run(30 * time.Second)
 	if got := c.FaultStats().Blocked; got == 0 {
@@ -59,96 +61,5 @@ func TestFaultPartitionBlocksAndHeals(t *testing.T) {
 	c.Run(2 * time.Minute)
 	if v := c.AtomicityViolations(30 * time.Second); v != 0 {
 		t.Fatalf("after heal: %d atomicity violations", v)
-	}
-}
-
-// TestFaultLossIsSeededAndCounted checks that probabilistic loss fires
-// deterministically for a given seed and is counted.
-func TestFaultLossIsSeededAndCounted(t *testing.T) {
-	run := func() (FaultStats, int) {
-		c := buildFaultTestCluster(t, 16, 7)
-		c.SetFaults(&FaultSpec{Seed: 99, Rules: []LinkFault{{Loss: 0.3}}})
-		for i := 0; i < 5; i++ {
-			c.Inject(i%16, nil)
-			c.Run(2 * time.Second)
-		}
-		c.Run(2 * time.Minute)
-		return c.FaultStats(), c.AtomicityViolations(30 * time.Second)
-	}
-	s1, v1 := run()
-	s2, v2 := run()
-	if s1.Dropped == 0 {
-		t.Fatalf("loss dropped nothing")
-	}
-	if s1 != s2 || v1 != v2 {
-		t.Fatalf("seeded loss not deterministic: %+v/%d vs %+v/%d", s1, v1, s2, v2)
-	}
-	// Gossip pulls must have repaired every loss while faults were active.
-	if v1 != 0 {
-		t.Fatalf("%d atomicity violations under 30%% loss", v1)
-	}
-}
-
-// TestFaultBandwidthFIFOQueueing pins the FIFO serialization model
-// directly against judgeFault: back-to-back transmissions on a capped
-// link queue behind each other, an idle link recovers, and distinct
-// endpoint pairs keep independent clocks.
-func TestFaultBandwidthFIFOQueueing(t *testing.T) {
-	c := New(Options{Nodes: 4, Seed: 1})
-	// 1 KiB/s cap on everything node 0 sends.
-	c.SetFaults(&FaultSpec{Seed: 1, Rules: []LinkFault{
-		{From: NodeRange{0, 1}, BytesPerSec: 1024},
-	}})
-	now := 10 * time.Second
-	// First 2 KiB message: 2 s serialization from an idle link.
-	d1, ok := c.judgeFault(0, 1, 2048, now)
-	if !ok || d1 != 2*time.Second {
-		t.Fatalf("first send: delay %v ok=%v, want 2s", d1, ok)
-	}
-	// Second message at the same instant queues behind the first: 4 s.
-	d2, ok := c.judgeFault(0, 1, 2048, now)
-	if !ok || d2 != 4*time.Second {
-		t.Fatalf("queued send: delay %v ok=%v, want 4s (FIFO)", d2, ok)
-	}
-	// A different destination pair has its own clock: 1 s for 1 KiB.
-	d3, ok := c.judgeFault(0, 2, 1024, now)
-	if !ok || d3 != time.Second {
-		t.Fatalf("independent link: delay %v ok=%v, want 1s", d3, ok)
-	}
-	// Reverse direction is uncapped.
-	d4, ok := c.judgeFault(1, 0, 4096, now)
-	if !ok || d4 != 0 {
-		t.Fatalf("uncapped direction: delay %v ok=%v, want 0", d4, ok)
-	}
-	// After the link drains, a later send sees only its own serialization.
-	d5, ok := c.judgeFault(0, 1, 1024, now+time.Minute)
-	if !ok || d5 != time.Second {
-		t.Fatalf("drained link: delay %v ok=%v, want 1s", d5, ok)
-	}
-	if got := c.FaultStats().Throttled; got != 4 {
-		t.Fatalf("Throttled = %d, want 4 (every capped send paid serialization)", got)
-	}
-}
-
-// TestFaultSlowLinkDelays checks Extra delay applies and is cleared by
-// SetFaults(nil).
-func TestFaultSlowLinkDelays(t *testing.T) {
-	c := buildFaultTestCluster(t, 16, 5)
-	c.SetFaults(&FaultSpec{Seed: 1, Rules: []LinkFault{{Extra: 200 * time.Millisecond}}})
-	c.Inject(0, nil)
-	c.Run(time.Minute)
-	if c.FaultStats().Delayed == 0 {
-		t.Fatalf("slow rule delayed nothing")
-	}
-	slowCDF := c.Delays().CDF()
-	if slowCDF.Quantile(0.5) < 200*time.Millisecond {
-		t.Fatalf("p50 delay %v under a 200ms universal slow link", slowCDF.Quantile(0.5))
-	}
-	c.SetFaults(nil)
-	before := c.FaultStats()
-	c.Inject(0, nil)
-	c.Run(time.Minute)
-	if c.FaultStats() != before {
-		t.Fatalf("cleared faults still judging traffic")
 	}
 }

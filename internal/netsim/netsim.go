@@ -13,6 +13,7 @@ import (
 
 	"gocast/internal/core"
 	"gocast/internal/dtrace"
+	"gocast/internal/fault"
 	"gocast/internal/latency"
 	"gocast/internal/metrics"
 	"gocast/internal/sim"
@@ -126,9 +127,8 @@ type Cluster struct {
 	inflight  [][core.NumClasses]int
 	admShed   [core.NumClasses]int64
 
-	// Link-fault state (see faults.go). nil = no faults active.
-	faults     *faultState
-	faultStats FaultStats
+	// Link-fault state (see SetFaults); nil until faults are first set.
+	faults *fault.State
 
 	// Tree-repair accounting: when a node's parent becomes None, the
 	// detach time is noted; the next re-attach records the repair latency.
@@ -578,6 +578,28 @@ func (c *Cluster) SetAdmission(caps AdmissionCaps) {
 	}
 }
 
+// SetFaults installs spec as the active link-fault state; nil or an
+// empty spec clears every fault. Callers (the scenario engine) schedule
+// SetFaults calls on the simulation clock to phase faults in and out,
+// which keeps every fault decision on the deterministic event loop.
+func (c *Cluster) SetFaults(spec *fault.Spec) {
+	if c.faults == nil {
+		c.faults = new(fault.State)
+	}
+	c.faults.Set(spec)
+	if c.faults.Active() && len(c.shards) > 1 {
+		panic("netsim: link faults require sequential execution (Options.Shards <= 1)")
+	}
+}
+
+// FaultStats returns the cumulative fault-model counters.
+func (c *Cluster) FaultStats() fault.Stats {
+	if c.faults == nil {
+		return fault.Stats{}
+	}
+	return c.faults.Stats()
+}
+
 // AdmissionSheds returns how many transmissions each class has shed to
 // admission caps since the cluster was built.
 func (c *Cluster) AdmissionSheds() map[core.Class]int64 {
@@ -854,10 +876,13 @@ func (c *Cluster) send(from *env, to core.NodeID, m core.Message, reliable bool)
 	// and dropped transmissions are silent blackholes: detection is the
 	// protocol's job, recovery gossip's. Sequential-only (SetFaults
 	// panics on sharded clusters).
-	extra, ok := c.judgeFault(int(from.id), int(to), m.WireSize(), sh.eng.Now())
-	if !ok {
-		sh.releaseMsg(m)
-		return
+	var extra time.Duration
+	if c.faults != nil {
+		var ok bool
+		if extra, ok = c.faults.Judge(int(from.id), int(to), m.WireSize(), sh.eng.Now()); !ok {
+			sh.releaseMsg(m)
+			return
+		}
 	}
 	counted := false
 	var cls core.Class

@@ -160,3 +160,40 @@ func TestSyncPacingUnderByteCap(t *testing.T) {
 		t.Errorf("replies (%d) outnumber victim requests (%d): pacing must be request-driven", len(replies), requests)
 	}
 }
+
+// TestRecoveryOffendersMatchViolations checks, on a kill-and-restart run
+// with and without sync, that RecoveryOffenders names a message exactly
+// when RecoveryViolations counts a gap, that every named message is one
+// the restarted node missed, and that the atomicity view (which excuses
+// restarted lives) names none.
+func TestRecoveryOffendersMatchViolations(t *testing.T) {
+	for _, sync := range []time.Duration{10 * time.Second, -1} {
+		cfg := core.DefaultConfig()
+		cfg.SyncInterval = sync
+		c := buildCluster(t, 32, cfg, 44)
+		c.Run(60 * time.Second)
+		const victim, contact, missed = 9, 3, 20
+		downWhilePublishing(c, victim, contact, missed, []byte("payload-while-down"))
+		c.Run(time.Minute)
+
+		grace := 10 * time.Second
+		v, off := c.RecoveryViolations(grace), c.RecoveryOffenders(grace)
+		if (v > 0) != (len(off) > 0) {
+			t.Fatalf("sync %v: %d recovery violations but %d offenders", sync, v, len(off))
+		}
+		if sync < 0 && v == 0 {
+			t.Fatalf("sync off: no recovery violations; the control no longer leaves gaps")
+		}
+		if len(off) > v {
+			t.Errorf("sync %v: %d offenders exceed %d violations", sync, len(off), v)
+		}
+		for _, id := range off {
+			if c.Node(victim).Seen(id) {
+				t.Errorf("sync %v: offender %v was delivered to the restarted node", sync, id)
+			}
+		}
+		if a := c.AtomicityOffenders(grace); len(a) != 0 {
+			t.Errorf("sync %v: %d atomicity offenders among stably-up nodes", sync, len(a))
+		}
+	}
+}

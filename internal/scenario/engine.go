@@ -8,7 +8,7 @@ import (
 
 	"gocast/internal/churn"
 	"gocast/internal/core"
-	"gocast/internal/netsim"
+	"gocast/internal/fault"
 )
 
 // Options configures one scenario run.
@@ -160,7 +160,7 @@ func (e *engine) runPhase(i int) {
 	var flapStop *atomic.Bool
 	if p.Flap != nil {
 		flapStop = e.startFlap(i, p, faults, &pr)
-	} else if !noFaults(faults) {
+	} else {
 		e.sub.setFaults(faults)
 		for kind, n := range installKinds(p) {
 			pr.Faults[kind] += n
@@ -201,12 +201,12 @@ func (e *engine) runPhase(i int) {
 
 // compileFaults resolves a phase's group-level fault declarations to node
 // indexes. The phase-wide loss rule comes first, ahead of the link rules,
-// which fixes the order of netsim's loss and jitter draws.
-func (e *engine) compileFaults(i int, p *Phase) *netsim.FaultSpec {
+// which fixes the order of the loss and jitter draws.
+func (e *engine) compileFaults(i int, p *Phase) *fault.Spec {
 	s := e.s
-	f := &netsim.FaultSpec{Seed: SubSeed(e.seed, fmt.Sprintf("faults/%d", i))}
+	f := &fault.Spec{Seed: SubSeed(e.seed, fmt.Sprintf("faults/%d", i))}
 	if p.Loss > 0 {
-		f.Rules = append(f.Rules, netsim.LinkFault{Loss: p.Loss})
+		f.Rules = append(f.Rules, fault.Link{Loss: p.Loss})
 	}
 	cells := p.Partition
 	if p.Flap != nil {
@@ -223,7 +223,7 @@ func (e *engine) compileFaults(i int, p *Phase) *netsim.FaultSpec {
 		f.Partition = append(f.Partition, idx)
 	}
 	for _, l := range p.Links {
-		lf := netsim.LinkFault{
+		lf := fault.Link{
 			Extra:       time.Duration(l.Delay),
 			Jitter:      time.Duration(l.Jitter),
 			BytesPerSec: l.BytesPerSec,
@@ -258,7 +258,7 @@ func installKinds(p *Phase) map[string]int64 {
 
 // startFlap installs the flap's partition and schedules toggles every
 // half period until the phase ends.
-func (e *engine) startFlap(i int, p *Phase, faults *netsim.FaultSpec, pr *PhaseResult) *atomic.Bool {
+func (e *engine) startFlap(i int, p *Phase, faults *fault.Spec, pr *PhaseResult) *atomic.Bool {
 	stop := &atomic.Bool{}
 	on := true
 	e.sub.setFaults(faults)
@@ -552,18 +552,23 @@ func (e *engine) drainAndJudge() {
 	judge(InvAtomicity, inv.Atomicity, av > 0,
 		fmt.Sprintf("%d (message, stable-node) deliveries missing after %s grace", av, grace),
 		fmt.Sprintf("%d published, 0 missing", e.sub.published()))
-	if av > 0 {
-		// Attach one offender's stitched dissemination trace to the
-		// violation judge just recorded, showing where its tree stopped
-		// short (JSON-only; Render stays trace-free).
-		if tr := e.sub.offenderTrace(grace); tr != "" {
-			for i := len(e.rep.Violations) - 1; i >= 0; i-- {
-				if e.rep.Violations[i].Invariant == InvAtomicity {
-					e.rep.Violations[i].Trace = tr
-					break
-				}
+	// attachTrace adds one offender's stitched dissemination trace to the
+	// violation of inv that judge just recorded, showing where its tree
+	// stopped short (JSON-only; Render stays trace-free).
+	attachTrace := func(inv string) {
+		tr := e.sub.offenderTrace(inv, grace)
+		if tr == "" {
+			return
+		}
+		for i := len(e.rep.Violations) - 1; i >= 0; i-- {
+			if e.rep.Violations[i].Invariant == inv {
+				e.rep.Violations[i].Trace = tr
+				return
 			}
 		}
+	}
+	if av > 0 {
+		attachTrace(InvAtomicity)
 	}
 
 	// Tree validity's end verdict summarizes the continuous checks.
@@ -602,6 +607,9 @@ func (e *engine) drainAndJudge() {
 		judge(InvRecovery, inv.Recovery, rv > 0,
 			fmt.Sprintf("%d deliveries never recovered by sync", rv),
 			"every restarted node caught up by sync")
+		if inv.Recovery && rv > 0 {
+			attachTrace(InvRecovery)
+		}
 	}
 
 	sheds := e.sub.criticalSheds()

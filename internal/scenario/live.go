@@ -2,23 +2,22 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"gocast/internal/churn"
 	"gocast/internal/core"
+	"gocast/internal/fault"
 	"gocast/internal/latency"
 	"gocast/internal/live"
-	"gocast/internal/netsim"
 )
 
 // liveSub runs a scenario on the wall-clock runtime over the in-memory
 // transport. Scenario durations are compressed by the scenario's
 // LiveScale; the fault/churn/traffic schedule still derives from the
-// master seed (satellite: one scenario-owned RNG threads through
-// live.NewFaultControllerRand and the churn plan seeds), so a run replays
-// its exact fault schedule even though protocol timing floats.
+// master seed (each phase's fault.Spec seed and the churn plan seeds), so
+// a run replays its exact fault schedule even though protocol timing
+// floats.
 type liveSub struct {
 	c       *live.Cluster
 	ctl     *live.FaultController
@@ -52,10 +51,7 @@ func newLiveSub(s *Scenario, seed int64) *liveSub {
 		disturbed: make(map[int]bool),
 		protected: protectedCount(s),
 	}
-	ls.ctl = live.NewFaultControllerRand(
-		live.FaultPlan{},
-		rand.New(rand.NewSource(SubSeed(seed, "faults"))),
-	)
+	ls.ctl = live.NewFaultController()
 	// Give the in-memory fabric the same wide-area latency diversity
 	// netsim runs under (scaled to the compressed wall clock). The
 	// proximity-replacement sweep — the only mechanism that rewires a
@@ -149,68 +145,23 @@ func (l *liveSub) publish(i int, payload []byte) bool {
 	return true
 }
 
-// setFaults re-expresses the compiled fault state as one open-ended
-// FaultPhase on the shared controller. Per-pair rules enumerate the
-// concrete "mem-<i>" endpoint addresses.
-func (l *liveSub) setFaults(f *netsim.FaultSpec) {
-	l.ctl.Clear()
-	if noFaults(f) {
-		return
+// setFaults installs f on the shared controller with its delays scaled
+// to the compressed wall clock, and its rates scaled up so
+// bytes-per-scenario-second are preserved; a slow link thus stays
+// proportionate to the compressed phase.
+func (l *liveSub) setFaults(f *fault.Spec) {
+	if f != nil {
+		scaled := *f
+		scaled.Rules = make([]fault.Link, len(f.Rules))
+		for k, r := range f.Rules {
+			r.Extra = time.Duration(float64(r.Extra) * l.scale)
+			r.Jitter = time.Duration(float64(r.Jitter) * l.scale)
+			r.BytesPerSec = int64(float64(r.BytesPerSec) / l.scale)
+			scaled.Rules[k] = r
+		}
+		f = &scaled
 	}
-	at := l.ctl.Elapsed()
-	p := live.FaultPhase{Start: at, End: 0} // End<=Start: holds until Clear
-	for _, cell := range f.Partition {
-		addrs := make([]string, len(cell))
-		for k, i := range cell {
-			addrs[k] = fmt.Sprintf("mem-%d", i)
-		}
-		p.Partition = append(p.Partition, addrs)
-	}
-	n := l.c.Size()
-	clampHi := func(hi int) int {
-		if hi == 0 || hi > n {
-			return n
-		}
-		return hi
-	}
-	for _, link := range f.Rules {
-		if link.Loss > 0 {
-			// Only the phase-wide rule, which matches every pair, carries
-			// a loss probability.
-			p.Drop = link.Loss
-			p.DropReliable = link.Loss
-		}
-		// Scale delays with the schedule so a slow link stays
-		// proportionate to the compressed phase; fold jitter in at its
-		// midpoint (per-pair jitter is a netsim-only fidelity).
-		extra := time.Duration(float64(link.Extra+link.Jitter/2) * l.scale)
-		if extra <= 0 && link.BytesPerSec <= 0 {
-			continue
-		}
-		// A zero (wildcard) range clamps to every node.
-		fLo, fHi := link.From.Lo, clampHi(link.From.Hi)
-		tLo, tHi := link.To.Lo, clampHi(link.To.Hi)
-		for from := fLo; from < fHi; from++ {
-			for to := tLo; to < tHi; to++ {
-				if from == to {
-					continue
-				}
-				fa, ta := fmt.Sprintf("mem-%d", from), fmt.Sprintf("mem-%d", to)
-				if extra > 0 {
-					p.Slow = append(p.Slow, live.SlowLink{From: fa, To: ta, Extra: extra})
-				}
-				if link.BytesPerSec > 0 {
-					// Scale the rate up so bytes-per-scenario-second are
-					// preserved under time compression.
-					p.Bandwidth = append(p.Bandwidth, live.BandwidthCap{
-						From: fa, To: ta,
-						BytesPerSec: int64(float64(link.BytesPerSec) / l.scale),
-					})
-				}
-			}
-		}
-	}
-	l.ctl.AddPhase(p)
+	l.ctl.Set(f)
 }
 
 func (l *liveSub) startChurn(opts churn.Options) {
@@ -369,7 +320,7 @@ func (l *liveSub) atomicityViolations(grace time.Duration) int {
 // offenderTrace is unavailable on the live substrate: scenario clusters
 // run with sampling off (wall-clock runs keep the multicast path cold),
 // so there are no spans to stitch an offender from.
-func (l *liveSub) offenderTrace(time.Duration) string { return "" }
+func (l *liveSub) offenderTrace(string, time.Duration) string { return "" }
 
 func (l *liveSub) recoveryViolations(time.Duration) (int, bool) { return 0, false }
 
@@ -383,13 +334,7 @@ func (l *liveSub) criticalSheds() int64 {
 	return total
 }
 
-func (l *liveSub) faultCounters() map[string]int64 {
-	out := make(map[string]int64)
-	for k, v := range l.ctl.Counters() {
-		out[k] = v
-	}
-	return out
-}
+func (l *liveSub) faultCounters() map[string]int64 { return l.ctl.Counters() }
 
 func (l *liveSub) published() int64 {
 	l.mu.Lock()

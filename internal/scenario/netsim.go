@@ -7,6 +7,7 @@ import (
 	"gocast/internal/churn"
 	"gocast/internal/core"
 	"gocast/internal/dtrace"
+	"gocast/internal/fault"
 	"gocast/internal/netsim"
 )
 
@@ -94,12 +95,7 @@ func (n *netsimSub) publish(i int, payload []byte) bool {
 	return true
 }
 
-func (n *netsimSub) setFaults(f *netsim.FaultSpec) {
-	if noFaults(f) {
-		f = nil
-	}
-	n.c.SetFaults(f)
-}
+func (n *netsimSub) setFaults(f *fault.Spec) { n.c.SetFaults(f) }
 
 func (n *netsimSub) startChurn(opts churn.Options) {
 	n.churn = append(n.churn, n.c.StartChurn(opts))
@@ -162,8 +158,12 @@ func (n *netsimSub) atomicityViolations(grace time.Duration) int {
 	return n.c.AtomicityViolations(grace)
 }
 
-func (n *netsimSub) offenderTrace(grace time.Duration) string {
-	offenders := n.c.AtomicityOffenders(grace)
+func (n *netsimSub) offenderTrace(inv string, grace time.Duration) string {
+	list := n.c.AtomicityOffenders
+	if inv == InvRecovery {
+		list = n.c.RecoveryOffenders
+	}
+	offenders := list(grace)
 	if len(offenders) == 0 {
 		return ""
 	}
@@ -187,15 +187,7 @@ func (n *netsimSub) criticalSheds() int64 {
 	return n.c.AdmissionSheds()[core.ClassCritical]
 }
 
-func (n *netsimSub) faultCounters() map[string]int64 {
-	fs := n.c.FaultStats()
-	return map[string]int64{
-		"fault_blocked":   fs.Blocked,
-		"fault_dropped":   fs.Dropped,
-		"fault_delayed":   fs.Delayed,
-		"fault_throttled": fs.Throttled,
-	}
-}
+func (n *netsimSub) faultCounters() map[string]int64 { return n.c.FaultStats().Counters() }
 
 func (n *netsimSub) published() int64 { return n.pubs }
 

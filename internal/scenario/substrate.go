@@ -4,14 +4,8 @@ import (
 	"time"
 
 	"gocast/internal/churn"
-	"gocast/internal/netsim"
+	"gocast/internal/fault"
 )
-
-// noFaults reports whether installing f clears every fault: a nil spec,
-// or one with no partition and no rules.
-func noFaults(f *netsim.FaultSpec) bool {
-	return f == nil || (len(f.Partition) == 0 && len(f.Rules) == 0)
-}
 
 // restartContact is the slot a scenario restart of slot i rejoins
 // through, on either substrate: the root slot, or slot 1 when the root
@@ -43,7 +37,7 @@ type substrate interface {
 	// or overload backpressure).
 	publish(i int, payload []byte) bool
 	// setFaults replaces the active fault state (nil or empty = clear).
-	setFaults(f *netsim.FaultSpec)
+	setFaults(f *fault.Spec)
 	// startChurn launches a churn burst; events execute on the substrate
 	// clock and stop at the plan horizon.
 	startChurn(opts churn.Options)
@@ -62,16 +56,16 @@ type substrate interface {
 	// a delivery, judging only messages older than grace.
 	atomicityViolations(grace time.Duration) int
 	// offenderTrace returns the rendered dissemination trace of one
-	// message that violated atomicity ("" when the substrate records no
-	// spans or no offender was traced).
-	offenderTrace(grace time.Duration) string
+	// message that violated invariant inv (InvAtomicity or InvRecovery;
+	// "" when the substrate records no spans or no offender was traced).
+	offenderTrace(inv string, grace time.Duration) string
 	// recoveryViolations counts deliveries restarted nodes never caught
 	// up on; ok=false means the substrate cannot judge this (live).
 	recoveryViolations(grace time.Duration) (n int, ok bool)
 	// criticalSheds returns cumulative Critical-class sheds.
 	criticalSheds() int64
-	// faultCounters snapshots the substrate fault layer's verdict
-	// counters (blocked/dropped/delayed/...).
+	// faultCounters snapshots the fault model's cumulative verdict
+	// counters (fault.Stats.Counters).
 	faultCounters() map[string]int64
 	// published returns how many scenario multicasts were accepted.
 	published() int64
