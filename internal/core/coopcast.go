@@ -184,7 +184,7 @@ func (n *Node) multicastCoopcast(payload []byte) (MessageID, bool) {
 	n.recent = append(n.recent, id)
 	n.stats.Injected++
 	n.deliverLocal(id, st, payload)
-	if n.obs != nil {
+	if n.emits(dtrace.KindInject) {
 		n.observe(n.msgSpan(dtrace.KindInject, id, None, 0, 0, st.traced))
 	}
 	for i, s := range symbols {
@@ -263,7 +263,7 @@ func (n *Node) forwardSymbol(id MessageID, st *msgState, idx uint16, data []byte
 	}
 	t := targets[int(idx)%len(targets)]
 	n.stats.SymbolsSent++
-	if n.obs != nil {
+	if n.emits(dtrace.KindTreeSend) {
 		s := n.msgSpan(dtrace.KindTreeSend, id, t, 0, 0, false)
 		s.Aux = int64(idx)
 		n.observe(s)
@@ -324,11 +324,11 @@ func (n *Node) handleSymbol(from NodeID, m *Symbol) {
 		sym.have.Add(idx)
 		sym.haveCnt++
 		n.stats.SymbolsRecv++
-		if st.traced && n.obs != nil {
-			kind := dtrace.KindSymbolPull
-			if m.ViaTree {
-				kind = dtrace.KindSymbolTree
-			}
+		kind := dtrace.KindSymbolPull
+		if m.ViaTree {
+			kind = dtrace.KindSymbolTree
+		}
+		if st.traced && n.emits(kind) {
 			s := n.msgSpan(kind, m.ID, from, m.Hop.Hops, n.ageOf(st), true)
 			s.Aux = int64(idx)
 			n.observe(s)
@@ -421,7 +421,7 @@ func (n *Node) completeAssembly(id MessageID, st *msgState, from NodeID) {
 	n.stats.PayloadsRecv++
 	n.advertiseNow(id, st)
 	n.deliverLocal(id, st, payload)
-	if n.obs != nil {
+	if n.emits(dtrace.KindReassembly) {
 		s := n.msgSpan(dtrace.KindReassembly, id, from, st.hops, n.ageOf(st), st.traced)
 		s.Start, s.Aux = st.receivedAt, int64(held)
 		n.observe(s)
@@ -501,7 +501,7 @@ func (n *Node) noteSymbolHolder(id MessageID, st *msgState, from NodeID, have *s
 	} else {
 		sym.holders = append(sym.holders, symHolder{id: from, have: *have, last: -1})
 	}
-	if st.traced && n.obs != nil {
+	if st.traced && n.emits(dtrace.KindAdvert) {
 		s := n.msgSpan(dtrace.KindAdvert, id, from, st.hops, n.ageOf(st), true)
 		s.Aux = int64(have.Count())
 		n.observe(s)
@@ -566,7 +566,7 @@ func (n *Node) pullSymbols(id MessageID, st *msgState) bool {
 		}
 		holders[h].last = wants[h].Max()
 		n.stats.SymbolPullsSent++
-		if n.obs != nil {
+		if n.emits(dtrace.KindPull) {
 			s := n.msgSpan(dtrace.KindPull, id, holders[h].id, st.hops, n.ageOf(st), st.traced)
 			s.Start, s.Aux = st.receivedAt, int64(wants[h].Count())
 			n.observe(s)

@@ -258,7 +258,7 @@ func (n *Node) Multicast(payload []byte) MessageID {
 	n.recent = append(n.recent, id)
 	n.stats.Injected++
 	n.deliverLocal(id, st, payload)
-	if n.obs != nil {
+	if n.emits(dtrace.KindInject) {
 		n.observe(n.msgSpan(dtrace.KindInject, id, None, 0, 0, st.traced))
 	}
 	n.forwardTree(id, st, payload, None)
@@ -292,7 +292,7 @@ func (n *Node) forwardTree(id MessageID, st *msgState, payload []byte, except No
 			continue
 		}
 		n.stats.TreeForwards++
-		if n.obs != nil {
+		if n.emits(dtrace.KindTreeSend) {
 			n.observe(n.msgSpan(dtrace.KindTreeSend, id, t, 0, 0, false))
 		}
 		n.env.Send(t, n.newMulticast(id, n.ageOf(st), payload, true, hop))
@@ -340,14 +340,14 @@ func (n *Node) receiveMulticast(from NodeID, m *Multicast, viaSync bool) {
 		n.putPullState(ps)
 	}
 	n.deliverLocal(m.ID, st, m.Payload)
-	if n.obs != nil {
-		kind := dtrace.KindPullDeliver
-		switch {
-		case viaSync:
-			kind = dtrace.KindSyncDeliver
-		case m.ViaTree:
-			kind = dtrace.KindTreeDeliver
-		}
+	kind := dtrace.KindPullDeliver
+	switch {
+	case viaSync:
+		kind = dtrace.KindSyncDeliver
+	case m.ViaTree:
+		kind = dtrace.KindTreeDeliver
+	}
+	if n.emits(kind) {
 		s := n.msgSpan(kind, m.ID, from, m.Hop.Hops, n.ageOf(st), st.traced)
 		if kind == dtrace.KindPullDeliver && pulledAt > 0 {
 			s.Start = pulledAt
@@ -359,13 +359,13 @@ func (n *Node) receiveMulticast(from NodeID, m *Multicast, viaSync bool) {
 }
 
 // gossipTick re-arms the gossip timer and runs one round, timing it when
-// an observer is installed.
+// the observer takes gossip-round records.
 func (n *Node) gossipTick() {
 	if !n.running {
 		return
 	}
 	n.gossipTimer = n.env.After(n.scaledGossipPeriod(), n.tickGossip)
-	if n.obs == nil {
+	if !n.emits(dtrace.KindGossipRound) {
 		n.gossipRound()
 		return
 	}
@@ -528,7 +528,7 @@ func (n *Node) handleGossip(from NodeID, nb *neighbor, g *Gossip) {
 		ps.ageAtLearn = age
 		ps.hop = gid.Hop
 		n.pending[pid(gid.ID)] = ps
-		if gid.Hop.Sampled && n.obs != nil {
+		if gid.Hop.Sampled && n.emits(dtrace.KindAdvert) {
 			n.observe(n.msgSpan(dtrace.KindAdvert, gid.ID, from, gid.Hop.Hops, age, true))
 		}
 		// Give the tree PullDelay (f) since injection before pulling.
@@ -540,7 +540,7 @@ func (n *Node) handleGossip(from NodeID, nb *neighbor, g *Gossip) {
 			pull.IDs = append(pull.IDs, gid.ID)
 			ps.next = 1 // first holder about to be asked
 			ps.pullSentAt = n.env.Now()
-			if n.obs != nil {
+			if n.emits(dtrace.KindPull) {
 				s := n.msgSpan(dtrace.KindPull, gid.ID, from, gid.Hop.Hops, age, gid.Hop.Sampled)
 				s.Start = ps.learnedAt
 				n.observe(s)
@@ -573,7 +573,7 @@ func (n *Node) firePull(id MessageID) {
 	ps.next++
 	ps.pullSentAt = n.env.Now()
 	n.stats.PullsSent++
-	if n.obs != nil {
+	if n.emits(dtrace.KindPull) {
 		s := n.msgSpan(dtrace.KindPull, id, holder, ps.hop.Hops, ps.ageAtLearn, ps.hop.Sampled)
 		s.Start, s.Aux = ps.learnedAt, int64(attempt)
 		n.observe(s)
@@ -667,7 +667,7 @@ func (n *Node) reclaimTick() {
 	}
 	n.reclaimTimer = n.env.After(reclaimScanPeriod, n.tickReclaim)
 	var start time.Duration
-	if n.obs != nil {
+	if n.emits(dtrace.KindStoreGC) {
 		start = n.env.Now()
 	}
 	res := n.store.GC(n.env.Now())
@@ -695,7 +695,7 @@ func (n *Node) reclaimTick() {
 			n.putMsgState(st)
 		}
 	}
-	if n.obs != nil {
+	if n.emits(dtrace.KindStoreGC) {
 		n.observe(dtrace.Span{Kind: dtrace.KindStoreGC, From: int32(None), Start: start, End: n.env.Now(),
 			Aux: int64(len(res.Reclaimed)), Aux2: int64(len(res.Dropped))})
 	}

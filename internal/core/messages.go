@@ -39,6 +39,10 @@ const (
 	KindPullMiss
 	KindSymbol
 	KindSymbolPull
+
+	// NumMsgKinds bounds the kinds: every MsgKind is below it, so tables
+	// indexed by kind have NumMsgKinds entries.
+	NumMsgKinds
 )
 
 const (

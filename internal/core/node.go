@@ -129,12 +129,17 @@ type Node struct {
 	syncTimer     Timer
 
 	// obs, when non-nil, receives one telemetry record per protocol fact
-	// (see observe.go). Nil keeps every emission site a single branch.
-	obs Observer
+	// (see observe.go); obsKinds has bit k set for each dtrace.Kind it
+	// takes, so every emission site is a single branch.
+	obs      Observer
+	obsKinds uint64
 
 	// pool is the env's optional message-struct recycler (nil on envs
 	// without the capability; the send helpers then allocate).
 	pool MessagePool
+	// ctlPool is the env's optional control-message recycler, nil like
+	// pool when the env has none.
+	ctlPool ControlPool
 
 	// treeTargets is the tree-link scratch of the forwarding paths.
 	treeTargets []NodeID
@@ -152,6 +157,7 @@ type Node struct {
 	msgFree     []*msgState
 	pullFree    []*pullState
 	obitScratch []NodeID
+	randScratch []*neighbor // tryRebalanceRandom's random links
 
 	// Periodic-tick callbacks are bound once at construction: method
 	// values allocate per use, and the ticks re-arm every period.
@@ -263,9 +269,12 @@ func New(id NodeID, cfg Config, env Env) *Node {
 		distToRoot:  distInfinity,
 	}
 	// The view never outgrows MemberViewSize: size it once.
-	n.members.recs = make([]viewRec, 0, cfg.MemberViewSize)
+	n.members.reserve(cfg.MemberViewSize)
 	if p, ok := env.(MessagePool); ok {
 		n.pool = p
+	}
+	if p, ok := env.(ControlPool); ok {
+		n.ctlPool = p
 	}
 	n.tickGossip = n.gossipTick
 	n.tickMaintain = n.maintainTick
@@ -341,7 +350,7 @@ func (n *Node) Stop() {
 // gossip piggyback), then stops.
 func (n *Node) Leave() {
 	for _, id := range n.neighbors.ids {
-		n.env.Send(id, &Drop{Degrees: n.degrees(), Departing: true})
+		n.env.Send(id, ctl(n, Drop{Degrees: n.degrees(), Departing: true}))
 	}
 	n.Stop()
 }

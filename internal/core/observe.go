@@ -19,12 +19,35 @@ type Observer interface {
 	Observe(s dtrace.Span)
 }
 
+// KindFilter is an optional Observer capability: an observer that keeps
+// only some kinds of record says which, and the node then neither builds
+// nor dispatches records of the other kinds. SetObserver asks Wants once
+// per kind; an observer without the capability gets every kind.
+type KindFilter interface {
+	Wants(k dtrace.Kind) bool
+}
+
 // SetObserver installs (or removes, with nil) the node's observer. Must be
 // called on the node's logical thread, normally before Start.
-func (n *Node) SetObserver(o Observer) { n.obs = o }
+func (n *Node) SetObserver(o Observer) {
+	n.obs, n.obsKinds = o, 0
+	if o == nil {
+		return
+	}
+	f, _ := o.(KindFilter)
+	for k := range 64 {
+		if f == nil || f.Wants(dtrace.Kind(k)) {
+			n.obsKinds |= 1 << k
+		}
+	}
+}
+
+// emits reports whether the observer takes records of kind k: a single
+// branch when it does not.
+func (n *Node) emits(k dtrace.Kind) bool { return n.obsKinds&(1<<k) != 0 }
 
 // observe stamps the recording node onto s and reports it. Callers guard
-// with n.obs != nil.
+// with n.emits(s.Kind).
 func (n *Node) observe(s dtrace.Span) {
 	s.Node = int32(n.id)
 	n.obs.Observe(s)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -112,6 +113,39 @@ func TestObservedTreeForwardAllocFree(t *testing.T) {
 	}
 	if got := obs.ring.Len(); got != 0 {
 		t.Errorf("%d records reached the span ring with sampling off", got)
+	}
+}
+
+// parentOnly is a recorder that asks for parent records only.
+type parentOnly struct{ recorder }
+
+func (*parentOnly) Wants(k dtrace.Kind) bool { return k == dtrace.KindParent }
+
+// TestKindFilterLimitsRecords checks the KindFilter capability: the same
+// link, gossip round and parent change reach a plain observer as three
+// records and a parent-only observer as the parent record alone.
+func TestKindFilterLimitsRecords(t *testing.T) {
+	all, filtered := &recorder{}, &parentOnly{}
+	for _, o := range []Observer{all, filtered} {
+		n := New(1, DefaultConfig(), &dropEnv{})
+		n.SetObserver(o)
+		n.Start()
+		n.AddNeighborDirect(Entry{ID: 2}, Random, time.Millisecond)
+		n.gossipTick()
+		n.setParent(2)
+	}
+	kinds := func(r *recorder) []dtrace.Kind {
+		var out []dtrace.Kind
+		for _, s := range r.spans {
+			out = append(out, s.Kind)
+		}
+		return out
+	}
+	if got, want := kinds(all), []dtrace.Kind{dtrace.KindLinkUp, dtrace.KindGossipRound, dtrace.KindParent}; !reflect.DeepEqual(got, want) {
+		t.Errorf("plain observer got %v, want %v", got, want)
+	}
+	if got, want := kinds(&filtered.recorder), []dtrace.Kind{dtrace.KindParent}; !reflect.DeepEqual(got, want) {
+		t.Errorf("parent-only observer got %v, want %v", got, want)
 	}
 }
 

@@ -73,7 +73,7 @@ func (n *Node) expireOps() {
 		ctx, _ := n.pendingAdd.get(id)
 		n.pendingAdd.del(id)
 		if ctx.purpose == addRebalanceLink {
-			n.env.Send(ctx.rebalanceFrom, &RebalanceReply{Target: id, OK: false})
+			n.env.Send(ctx.rebalanceFrom, ctl(n, RebalanceReply{Target: id, OK: false}))
 		}
 	}
 	if n.rebalance != nil && now-n.rebalance.startedAt > opTimeout {
@@ -162,12 +162,13 @@ func (n *Node) tryRebalanceRandom() {
 	if n.rebalance != nil {
 		return
 	}
-	var rands []*neighbor
+	rands := n.randScratch[:0]
 	for _, nb := range n.neighbors.nbs {
 		if nb.kind == Random {
 			rands = append(rands, nb)
 		}
 	}
+	n.randScratch = rands
 	if len(rands) < 2 {
 		return
 	}
@@ -178,7 +179,7 @@ func (n *Node) tryRebalanceRandom() {
 	}
 	y, z := rands[i], rands[j]
 	n.rebalance = &rebalanceCtx{via: y.entry.ID, target: z.entry.ID, startedAt: n.env.Now()}
-	n.env.Send(y.entry.ID, &Rebalance{Target: z.entry})
+	n.env.Send(y.entry.ID, ctl(n, Rebalance{Target: z.entry}))
 }
 
 // handleRebalance is Y's side of operation 1: establish a random link to
@@ -186,17 +187,17 @@ func (n *Node) tryRebalanceRandom() {
 func (n *Node) handleRebalance(from NodeID, m *Rebalance) {
 	t := m.Target
 	if t.ID == n.id || t.ID == None || n.staleSender(t) {
-		n.env.Send(from, &RebalanceReply{Target: t.ID, OK: false})
+		n.env.Send(from, ctl(n, RebalanceReply{Target: t.ID, OK: false}))
 		return
 	}
 	if n.neighbors.has(t.ID) {
 		// Already linked to Z; X can still drop its two links without
 		// degree loss for us.
-		n.env.Send(from, &RebalanceReply{Target: t.ID, OK: true})
+		n.env.Send(from, ctl(n, RebalanceReply{Target: t.ID, OK: true}))
 		return
 	}
 	if n.pendingAdd.has(t.ID) {
-		n.env.Send(from, &RebalanceReply{Target: t.ID, OK: false})
+		n.env.Send(from, ctl(n, RebalanceReply{Target: t.ID, OK: false}))
 		return
 	}
 	n.learnEntry(t)
@@ -374,13 +375,13 @@ func (n *Node) requestAddFull(e Entry, kind LinkKind, rtt time.Duration, purpose
 		rebalanceFrom: rebalanceFrom,
 	})
 	n.stats.AddsSent++
-	n.env.Send(e.ID, &AddRequest{
+	n.env.Send(e.ID, ctl(n, AddRequest{
 		From:         n.selfEntry(),
 		LinkKind:     kind,
 		RTT:          rtt,
 		Degrees:      n.degrees(),
 		ForRebalance: purpose == addRebalanceLink,
-	})
+	}))
 }
 
 // handleAddRequest decides whether to accept a new neighbor, enforcing
@@ -388,14 +389,14 @@ func (n *Node) requestAddFull(e Entry, kind LinkKind, rtt time.Duration, purpose
 func (n *Node) handleAddRequest(from NodeID, m *AddRequest) {
 	if n.staleSender(m.From) {
 		// A dead past life must never be linked to: reject outright.
-		n.env.Send(from, &AddReply{
+		n.env.Send(from, ctl(n, AddReply{
 			From:         n.selfEntry(),
 			LinkKind:     m.LinkKind,
 			Accepted:     false,
 			RTT:          m.RTT,
 			Degrees:      n.degrees(),
 			ForRebalance: m.ForRebalance,
-		})
+		}))
 		return
 	}
 	n.learnEntry(m.From)
@@ -428,14 +429,14 @@ func (n *Node) handleAddRequest(from NodeID, m *AddRequest) {
 			n.stats.AddsRejected++
 		}
 	}
-	n.env.Send(from, &AddReply{
+	n.env.Send(from, ctl(n, AddReply{
 		From:         n.selfEntry(),
 		LinkKind:     m.LinkKind,
 		Accepted:     accepted,
 		RTT:          m.RTT,
 		Degrees:      n.degrees(),
 		ForRebalance: m.ForRebalance,
-	})
+	}))
 }
 
 // handleAddReply finishes a pending add.
@@ -448,14 +449,14 @@ func (n *Node) handleAddReply(from NodeID, m *AddReply) {
 		if m.Accepted {
 			// We no longer want this link (op expired); tear it down so
 			// the acceptor is not left with a half-open link.
-			n.env.Send(from, &Drop{Degrees: n.degrees()})
+			n.env.Send(from, ctl(n, Drop{Degrees: n.degrees()}))
 		}
 		return
 	}
 	n.pendingAdd.del(from)
 	if !m.Accepted {
 		if ctx.purpose == addRebalanceLink {
-			n.env.Send(ctx.rebalanceFrom, &RebalanceReply{Target: from, OK: false})
+			n.env.Send(ctx.rebalanceFrom, ctl(n, RebalanceReply{Target: from, OK: false}))
 		}
 		return
 	}
@@ -477,7 +478,7 @@ func (n *Node) handleAddReply(from NodeID, m *AddReply) {
 			n.dropLink(u)
 		}
 	case addRebalanceLink:
-		n.env.Send(ctx.rebalanceFrom, &RebalanceReply{Target: from, OK: true})
+		n.env.Send(ctx.rebalanceFrom, ctl(n, RebalanceReply{Target: from, OK: true}))
 	}
 }
 
@@ -515,7 +516,7 @@ func (n *Node) addNeighbor(e Entry, kind LinkKind, rtt time.Duration) {
 		n.liveMask |= 1 << nb.slot
 	}
 	n.stats.LinkAdds++
-	if n.obs != nil {
+	if n.emits(dtrace.KindLinkUp) {
 		n.observeLink(dtrace.KindLinkUp, e.ID, kind, rtt)
 	}
 	n.reannounceTo(e.ID)
@@ -540,11 +541,11 @@ func (n *Node) removeNeighbor(peer NodeID, notify bool) {
 	}
 	n.retireSlot(peer, nb.slot)
 	n.stats.LinkDrops++
-	if n.obs != nil {
+	if n.emits(dtrace.KindLinkDown) {
 		n.observeLink(dtrace.KindLinkDown, peer, nb.kind, nb.rtt)
 	}
 	if notify {
-		n.env.Send(peer, &Drop{Degrees: n.degrees()})
+		n.env.Send(peer, ctl(n, Drop{Degrees: n.degrees()}))
 	}
 	n.treeOnLinkDown(peer)
 }

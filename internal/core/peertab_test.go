@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"gocast/internal/store"
 )
 
 // checkIDTable compares the table with a reference map and checks the
@@ -169,6 +171,148 @@ func TestIDTableDeleteWrapsPastEnd(t *testing.T) {
 	}
 }
 
+// checkMemberTable compares the view with a reference model of its dense
+// order and checks the compact index: it names every record exactly once,
+// stays at or below 3/8 load, and every record is reachable from its home
+// slot without crossing an empty slot.
+func checkMemberTable(t *testing.T, step int, tab *memberTable, model []NodeID) {
+	t.Helper()
+	if tab.len() != len(model) {
+		t.Fatalf("step %d: len = %d, reference %d", step, tab.len(), len(model))
+	}
+	for i, id := range model {
+		if tab.recs[i].id != id {
+			t.Fatalf("step %d: record %d is %d, reference %d", step, i, tab.recs[i].id, id)
+		}
+		if got := tab.index(id); got != i {
+			t.Fatalf("step %d: index(%d) = %d, reference %d", step, id, got, i)
+		}
+	}
+	if len(model) > 0 && len(model)*8 > len(tab.slots)*3 {
+		t.Fatalf("step %d: %d entries in %d slots, above 3/8 load", step, len(model), len(tab.slots))
+	}
+	named := make([]bool, len(model))
+	mask := len(tab.slots) - 1
+	for s, v := range tab.slots {
+		if v == 0 {
+			continue
+		}
+		i := int(v) - 1
+		if i >= len(model) || named[i] {
+			t.Fatalf("step %d: slot %d names dense index %d, out of range or named twice", step, s, i)
+		}
+		named[i] = true
+		for j := tab.home(model[i]); j != s; j = (j + 1) & mask {
+			if tab.slots[j] == 0 {
+				t.Fatalf("step %d: ID %d at slot %d unreachable: slot %d on its probe path is empty", step, model[i], s, j)
+			}
+		}
+	}
+	for i, ok := range named {
+		if !ok {
+			t.Fatalf("step %d: no slot names dense index %d", step, i)
+		}
+	}
+}
+
+// TestMemberTableMatchesMap drives the view's dense records and compact
+// index and a Go map with the same random adds, swap-with-last removals
+// (the last record included), lookups and growth, from a table sized for
+// a full view and from a zero table that grows as it fills.
+func TestMemberTableMatchesMap(t *testing.T) {
+	for _, reserved := range []int{DefaultConfig().MemberViewSize, 0} {
+		rng := rand.New(rand.NewSource(int64(1 + reserved)))
+		var tab memberTable
+		if reserved > 0 {
+			tab.reserve(reserved)
+		}
+		var model []NodeID
+		ref := make(map[NodeID]uint32)
+		limit := 96
+		for step := 0; step < 100000; step++ {
+			if reserved == 0 && step%20000 == 0 {
+				limit *= 2 // let the zero table keep growing
+			}
+			id := NodeID(rng.Intn(4 * limit))
+			switch r := rng.Intn(20); {
+			case r == 0:
+				id = NodeID(-2 - rng.Intn(1000)) // negative IDs other than None
+			case r == 1:
+				id = NodeID(rng.Int31()) // sparse large IDs
+			case r == 2:
+				id = None
+			}
+			switch op := rng.Intn(10); {
+			case op < 4:
+				if _, ok := ref[id]; ok || id == None || len(model) >= limit {
+					break
+				}
+				inc := rng.Uint32()
+				tab.add(Entry{ID: id, Inc: inc})
+				ref[id] = inc
+				model = append(model, id)
+			case op < 7 && len(model) > 0:
+				i := rng.Intn(len(model))
+				if rng.Intn(4) == 0 {
+					i = len(model) - 1
+				}
+				want := model[i]
+				if got := tab.removeAt(i); got != want {
+					t.Fatalf("step %d: removeAt(%d) = %d, reference %d", step, i, got, want)
+				}
+				delete(ref, want)
+				model[i] = model[len(model)-1]
+				model = model[:len(model)-1]
+			default:
+				inc, want := ref[id]
+				if got := tab.has(id); got != want {
+					t.Fatalf("step %d: has(%d) = %v, reference %v", step, id, got, want)
+				}
+				if e, ok := tab.get(id); ok != want || (ok && (e.ID != id || e.Inc != inc)) {
+					t.Fatalf("step %d: get(%d) = %+v, %v; reference inc %d, %v", step, id, e, ok, inc, want)
+				}
+				if i := tab.index(id); (i >= 0) != want || (want && tab.recs[i].id != id) {
+					t.Fatalf("step %d: index(%d) = %d, present %v", step, id, i, want)
+				}
+			}
+			if step%997 == 0 {
+				checkMemberTable(t, step, &tab, model)
+			}
+		}
+		checkMemberTable(t, -1, &tab, model)
+		if tab.has(None) || tab.index(None) != -1 {
+			t.Fatal("None found in the view")
+		}
+		if reserved > 0 && len(tab.slots) != indexSlotsFor(reserved) {
+			t.Fatalf("index grew to %d slots; a view within its reserved %d entries keeps %d", len(tab.slots), reserved, indexSlotsFor(reserved))
+		}
+	}
+}
+
+// TestMemberTableIndexBytes pins the compact index's size for a default
+// view, and that a view the uint16 slots cannot name, or a None entry,
+// panics instead of being clamped or stored.
+func TestMemberTableIndexBytes(t *testing.T) {
+	var tab memberTable
+	tab.reserve(DefaultConfig().MemberViewSize)
+	if got := tab.indexBytes(); got != 512 {
+		t.Errorf("a %d-entry view's index takes %d bytes, want 512", DefaultConfig().MemberViewSize, got)
+	}
+	for name, f := range map[string]func(){
+		"reserve past the slot width": func() { new(memberTable).reserve(maxViewEntries + 1) },
+		"add(None)":                   func() { tab.add(Entry{ID: None}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 // sendLog is a dropEnv that records the target of every Gossip sent.
 type sendLog struct {
 	dropEnv
@@ -276,6 +420,118 @@ func TestLearnEntryAllocFree(t *testing.T) {
 	}
 	if !n.members.has(next - 1) {
 		t.Fatalf("the last merged entry is not in the view")
+	}
+}
+
+// recycleEnv is a dropEnv with the ControlPool capability: Reuse pops
+// the structs the test stocked, and every send is recorded.
+type recycleEnv struct {
+	dropEnv
+	free   [NumMsgKinds][]Message
+	reused [NumMsgKinds]int
+	sent   []Message
+}
+
+func (e *recycleEnv) Reuse(k MsgKind) Message {
+	e.reused[k]++
+	if n := len(e.free[k]) - 1; n >= 0 {
+		m := e.free[k][n]
+		e.free[k] = e.free[k][:n]
+		return m
+	}
+	return nil
+}
+
+func (e *recycleEnv) Send(to NodeID, m Message) {
+	e.sent = append(e.sent, m)
+	e.dropEnv.Send(to, m)
+}
+func (e *recycleEnv) SendDatagram(to NodeID, m Message) { e.Send(to, m) }
+
+// TestControlMessagesReuseStructs checks the ControlPool seam: every
+// control message goes through Reuse, a reused struct is sent with every
+// field overwritten (a SyncRequest keeping its Ranges capacity), and a
+// tree advert to several neighbors is one struct per send.
+func TestControlMessagesReuseStructs(t *testing.T) {
+	env := &recycleEnv{}
+	n := New(1, DefaultConfig(), env)
+	n.Start()
+	for _, peer := range []NodeID{2, 3, 4} {
+		n.AddNeighborDirect(Entry{ID: peer}, Random, time.Millisecond)
+	}
+	n.Multicast([]byte("x")) // one source for the sync digest
+	dirtyPing := &Ping{From: Entry{ID: 77, Inc: 9}, Nonce: 5}
+	dirtyAdv := &TreeAdvert{Root: 77, Epoch: 9, Wave: 9, Dist: 9}
+	dirtySync := &SyncRequest{Ranges: make([]store.SourceRange, 3, 8)}
+	dirtySync.Ranges[0] = store.SourceRange{Source: 77, Low: 9, High: 9}
+	env.free[KindPing] = []Message{dirtyPing}
+	env.free[KindTreeAdvert] = []Message{dirtyAdv}
+	env.free[KindSyncRequest] = []Message{dirtySync}
+	env.sent = env.sent[:0]
+
+	n.sendPing(2, pingCtx{target: 2, purpose: pingMeasureLink})
+	if len(env.sent) != 1 || env.sent[0] != Message(dirtyPing) {
+		t.Fatalf("ping did not reuse the stocked struct: sent %v", env.sent)
+	}
+	if want := (Ping{From: n.selfEntry(), Nonce: n.pingNonce}); *dirtyPing != want {
+		t.Fatalf("reused ping = %+v, want %+v", *dirtyPing, want)
+	}
+
+	env.sent = env.sent[:0]
+	n.BecomeRoot()
+	n.heartbeatTick()
+	var adverts []*TreeAdvert
+	for _, m := range env.sent {
+		if a, ok := m.(*TreeAdvert); ok {
+			adverts = append(adverts, a)
+		}
+	}
+	if len(adverts) != 3 || adverts[0] != dirtyAdv || adverts[1] == adverts[0] || adverts[2] == adverts[1] {
+		t.Fatalf("tree adverts to three neighbors: %v, want three structs, the first the reused one", adverts)
+	}
+	for _, a := range adverts {
+		if want := (TreeAdvert{Root: 1, Epoch: n.treeEpoch, Wave: n.treeWave, Dist: 0}); *a != want {
+			t.Fatalf("tree advert = %+v, want %+v", *a, want)
+		}
+	}
+
+	env.sent = env.sent[:0]
+	n.requestSync(2, true)
+	if len(env.sent) != 1 || env.sent[0] != Message(dirtySync) {
+		t.Fatalf("sync request did not reuse the stocked struct: sent %v", env.sent)
+	}
+	if want := n.store.Digest(); cap(dirtySync.Ranges) != 8 || !reflect.DeepEqual(dirtySync.Ranges, want) {
+		t.Fatalf("reused sync request ranges = %v (cap %d), want %v in the kept capacity 8", dirtySync.Ranges, cap(dirtySync.Ranges), want)
+	}
+
+	// The remaining kinds: a pong, an add request and reply, a rebalance
+	// and its reply, a parent change and a drop.
+	n.tryRebalanceRandom()
+	n.HandleMessage(2, &Ping{From: Entry{ID: 2}, Nonce: 1})
+	n.HandleMessage(5, &AddRequest{From: Entry{ID: 5}, LinkKind: Random})
+	n.HandleMessage(3, &Rebalance{Target: Entry{ID: 6}})
+	n.HandleMessage(6, &AddReply{From: Entry{ID: 6}, LinkKind: Random, Accepted: true})
+	n.HandleMessage(4, &Rebalance{Target: Entry{ID: 1}})
+	n.setParent(4)
+	n.dropLink(2)
+	var sentOf [NumMsgKinds]int
+	for _, m := range env.sent {
+		sentOf[m.Kind()]++
+	}
+	for _, k := range []MsgKind{KindPing, KindPong, KindAddRequest, KindAddReply, KindDrop,
+		KindRebalance, KindRebalanceReply, KindTreeAdvert, KindTreeParent, KindSyncRequest} {
+		if env.reused[k] == 0 {
+			t.Errorf("kind %d never went through Reuse", k)
+		}
+	}
+	for k, c := range sentOf {
+		if c > 0 && env.reused[k] < c {
+			switch MsgKind(k) {
+			case KindPing, KindPong, KindAddRequest, KindAddReply, KindDrop,
+				KindRebalance, KindRebalanceReply, KindTreeAdvert, KindTreeParent, KindSyncRequest:
+				t.Errorf("kind %d: %d sent, only %d through Reuse", k, c, env.reused[k])
+			}
+		}
 	}
 }
 

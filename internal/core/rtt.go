@@ -123,7 +123,7 @@ func (n *Node) sendPing(to NodeID, ctx pingCtx) {
 	ctx.sentAt = n.env.Now()
 	n.pings = append(n.pings, ctx)
 	n.stats.PingsSent++
-	n.env.SendDatagram(to, &Ping{From: n.selfEntry(), Nonce: n.pingNonce})
+	n.env.SendDatagram(to, ctl(n, Ping{From: n.selfEntry(), Nonce: n.pingNonce}))
 }
 
 // handlePing answers with the node's degrees; pings also spread contact
@@ -133,7 +133,7 @@ func (n *Node) handlePing(from NodeID, m *Ping) {
 		return // no pong for a dead past life
 	}
 	n.learnEntry(m.From)
-	n.env.SendDatagram(from, &Pong{From: n.selfEntry(), Nonce: m.Nonce, Degrees: n.degrees()})
+	n.env.SendDatagram(from, ctl(n, Pong{From: n.selfEntry(), Nonce: m.Nonce, Degrees: n.degrees()}))
 }
 
 // handlePong records the measured RTT and resumes the operation that

@@ -137,7 +137,7 @@ func (n *Node) StateBytes() StateBytes {
 	return StateBytes{
 		Node:         int(unsafe.Sizeof(*n)),
 		View:         cap(m.recs)*int(unsafe.Sizeof(viewRec{})) + cap(m.addrs)*int(unsafe.Sizeof("")),
-		ViewIndex:    m.pos.bytes(),
+		ViewIndex:    m.indexBytes(),
 		RTT:          n.rtt.bytes(),
 		LastPong:     n.lastPong.bytes(),
 		Obits:        n.obits.bytes(),

@@ -59,10 +59,14 @@ func (n *Node) requestSync(peer NodeID, force bool) {
 	}
 	n.lastSyncTo.put(peer, now)
 	n.stats.SyncRequestsSent++
-	// The outgoing digest must be freshly allocated: Send may deliver
+	// The outgoing digest must not be node scratch: Send may deliver
 	// asynchronously (netsim holds the message until its event fires), so
-	// a scratch slice reused here would be mutated under the request.
-	n.env.Send(peer, &SyncRequest{Ranges: n.store.Digest()})
+	// a slice reused here would be mutated under the request. A reused
+	// request's own Ranges are free: the substrate took the struct back
+	// only after its delivery.
+	req := reuse[SyncRequest](n)
+	req.Ranges = n.store.DigestAppend(req.Ranges[:0])
+	n.env.Send(peer, req)
 }
 
 // localDigest returns this node's watermark digest for transient,
@@ -151,7 +155,7 @@ func (n *Node) handleSyncRequest(from NodeID, m *SyncRequest) {
 	n.stats.SyncRepliesSent++
 	n.stats.SyncItemsSent += int64(len(items) + len(syms))
 	n.stats.SyncBytesSent += pageBytes
-	if n.obs != nil {
+	if n.emits(dtrace.KindSyncPage) {
 		now := n.env.Now()
 		n.observe(dtrace.Span{Kind: dtrace.KindSyncPage, From: int32(from), Start: now, End: now,
 			Aux: int64(len(items) + len(syms)), Aux2: pageBytes})

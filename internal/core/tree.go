@@ -42,13 +42,13 @@ func (n *Node) advertiseTree(skip NodeID) {
 	if n.distToRoot == distInfinity {
 		return
 	}
-	adv := &TreeAdvert{Root: n.treeRoot, Epoch: n.treeEpoch, Wave: n.treeWave, Dist: n.distToRoot}
+	adv := TreeAdvert{Root: n.treeRoot, Epoch: n.treeEpoch, Wave: n.treeWave, Dist: n.distToRoot}
 	for _, id := range n.neighbors.ids {
 		if id == skip {
 			continue
 		}
 		n.stats.TreeAdverts++
-		n.env.Send(id, adv)
+		n.env.Send(id, ctl(n, adv))
 	}
 }
 
@@ -96,7 +96,7 @@ func (n *Node) handleTreeAdvert(from NodeID, m *TreeAdvert) {
 		n.lastWaveAt = n.env.Now()
 		n.distToRoot = d
 		n.lostDist = 0
-		if n.obs != nil && oldRoot != m.Root {
+		if n.emits(dtrace.KindRoot) && oldRoot != m.Root {
 			n.observeTree(dtrace.KindRoot, m.Root, oldRoot, false)
 		}
 		n.setParent(from)
@@ -137,14 +137,14 @@ func (n *Node) setParent(p NodeID) {
 	old := n.parent
 	if old != None {
 		if n.neighbors.has(old) {
-			n.env.Send(old, &TreeParent{On: false})
+			n.env.Send(old, ctl(n, TreeParent{On: false}))
 		}
 	}
 	n.parent = p
 	if p != None {
-		n.env.Send(p, &TreeParent{On: true})
+		n.env.Send(p, ctl(n, TreeParent{On: true}))
 	}
-	if n.obs != nil {
+	if n.emits(dtrace.KindParent) {
 		n.observeTree(dtrace.KindParent, p, old, p != None && n.repairing)
 	}
 	if p != None {
@@ -178,7 +178,7 @@ func (n *Node) treeOnLinkUp(peer NodeID) {
 		return
 	}
 	n.stats.TreeAdverts++
-	n.env.Send(peer, &TreeAdvert{Root: n.treeRoot, Epoch: n.treeEpoch, Wave: n.treeWave, Dist: n.distToRoot})
+	n.env.Send(peer, ctl(n, TreeAdvert{Root: n.treeRoot, Epoch: n.treeEpoch, Wave: n.treeWave, Dist: n.distToRoot}))
 }
 
 // treeOnLinkDown repairs tree state after an overlay link disappears.
@@ -187,7 +187,7 @@ func (n *Node) treeOnLinkDown(peer NodeID) {
 		return
 	}
 	n.parent = None
-	if n.obs != nil {
+	if n.emits(dtrace.KindParent) {
 		n.observeTree(dtrace.KindParent, None, peer, false)
 	}
 	if !n.cfg.EnableTree {
@@ -239,7 +239,7 @@ func (n *Node) handleTreeAdvertReq(from NodeID) {
 		return
 	}
 	n.stats.TreeAdverts++
-	n.env.Send(from, &TreeAdvert{Root: n.treeRoot, Epoch: n.treeEpoch, Wave: n.treeWave, Dist: n.distToRoot})
+	n.env.Send(from, ctl(n, TreeAdvert{Root: n.treeRoot, Epoch: n.treeEpoch, Wave: n.treeWave, Dist: n.distToRoot}))
 }
 
 // checkRootLiveness self-promotes when no wave has been observed for
@@ -261,7 +261,7 @@ func (n *Node) checkRootLiveness() {
 	n.distToRoot = 0
 	n.lastWaveAt = n.env.Now()
 	n.stats.RootTakeovers++
-	if n.obs != nil {
+	if n.emits(dtrace.KindRoot) {
 		n.observeTree(dtrace.KindRoot, n.id, oldRoot, n.repairing)
 	}
 	n.repairing = false

@@ -165,3 +165,43 @@ type MessagePool interface {
 	GetMulticast() *Multicast
 	GetPullRequest() *PullRequest
 }
+
+// ControlPool is an optional Env capability beside MessagePool, for the
+// control kinds the overlay sends on every probe and maintenance step:
+// Ping, Pong, AddRequest, AddReply, Drop, Rebalance, RebalanceReply,
+// TreeAdvert, TreeParent and SyncRequest. Reuse returns a struct of kind
+// k that the substrate took back after delivering it, or nil when it holds
+// none; the node then allocates. The node builds every struct of a kind
+// it asks for through Reuse, so a substrate that takes back only the
+// kinds it was asked for never accumulates a kind the node allocates
+// itself. The node overwrites every field of a reused struct, except
+// that a SyncRequest keeps its Ranges capacity. Envs without the
+// capability (the live runtime's) allocate every struct.
+type ControlPool interface {
+	Reuse(k MsgKind) Message
+}
+
+// msgPtr is a pointer to a message struct.
+type msgPtr[T any] interface {
+	*T
+	Message
+}
+
+// reuse returns a struct of P's kind from the env's ControlPool, or a new
+// one. Its fields hold whatever the last delivery left in them.
+func reuse[T any, P msgPtr[T]](n *Node) P {
+	if n.ctlPool != nil {
+		if m := n.ctlPool.Reuse(P(nil).Kind()); m != nil {
+			return m.(P)
+		}
+	}
+	return new(T)
+}
+
+// ctl returns control message v in a reused struct where the env recycles
+// them. After env.Send the struct belongs to the substrate.
+func ctl[T any, P msgPtr[T]](n *Node, v T) P {
+	p := reuse[T, P](n)
+	*p = v
+	return p
+}

@@ -148,11 +148,11 @@ type Cluster struct {
 // deliveryFree recycles the per-send delivery records (each with a
 // prebuilt closure, so a send schedules without allocating); wrapFree
 // recycles the env.After wrapper records that guard callbacks with the
-// life check. The wire pools recycle Gossip/Multicast/PullRequest
-// structs handed to core via the MessagePool capability and released
-// after delivery — a struct sent across shards is released into (and
-// thereafter recycled by) the receiver's shard, which is safe because
-// ownership transfers at a barrier.
+// life check. msgFree recycles the wire structs handed to core via the
+// MessagePool and ControlPool capabilities and released after delivery —
+// a struct sent across shards is released into (and thereafter recycled
+// by) the receiver's shard, which is safe because ownership transfers at
+// a barrier.
 type simShard struct {
 	idx int
 	eng *sim.Engine
@@ -163,9 +163,8 @@ type simShard struct {
 
 	deliveryFree []*delivery
 	wrapFree     []*timerWrap
-	gossipFree   []*core.Gossip
-	mcFree       []*core.Multicast
-	prFree       []*core.PullRequest
+	msgFree      [core.NumMsgKinds][]core.Message // by kind
+	asked        [core.NumMsgKinds]bool           // kinds core has asked msgFree for
 }
 
 // crossEvent is one buffered cross-shard transmission: everything the
@@ -357,12 +356,17 @@ func (c *Cluster) buildNode(i int) *core.Node {
 
 // nodeObs is the observer netsim installs on every node: parent records
 // feed the tree-repair accounting, and the optional Trace sink gets every
-// record. The accounting writes only slot idx's cell and the locked
-// recorder, so it is safe on any shard; the sink forces sequential
-// execution.
+// record. Without a sink it asks the node for parent records only, so
+// the node builds no other. The accounting writes only slot idx's cell
+// and the locked recorder, so it is safe on any shard; the sink forces
+// sequential execution.
 type nodeObs struct {
 	c   *Cluster
 	idx int
+}
+
+func (o *nodeObs) Wants(k dtrace.Kind) bool {
+	return k == dtrace.KindParent || o.c.opts.Trace != nil
 }
 
 func (o *nodeObs) Observe(s dtrace.Span) {
@@ -682,6 +686,7 @@ func (r *batchRand) Intn(n int) int {
 var (
 	_ core.Env         = (*env)(nil)
 	_ core.MessagePool = (*env)(nil)
+	_ core.ControlPool = (*env)(nil)
 )
 
 // timerWrap is one pooled env.After record: run is built once and guards
@@ -750,49 +755,54 @@ func (sh *simShard) getDelivery(c *Cluster) *delivery {
 	return d
 }
 
-// Wire-struct pools. Get hands core a struct with slice fields truncated
-// but capacity retained; releaseMsg returns it after the receiver ran (or
-// the transmission was dropped). Receivers retain nothing from these
+// Wire-struct pools: one free list per message kind. Get and Reuse hand
+// core a released struct; releaseMsg returns it after the receiver ran
+// (or the transmission was dropped). Receivers retain nothing from these
 // structs except payload slices and Entry values, both of which live
 // outside the pooled records, so recycling is safe.
 
-func (e *env) GetGossip() *core.Gossip {
-	sh := e.sh
-	if n := len(sh.gossipFree) - 1; n >= 0 {
-		g := sh.gossipFree[n]
-		sh.gossipFree = sh.gossipFree[:n]
-		return g
+// reuse pops a released struct of kind k, or returns nil.
+func (sh *simShard) reuse(k core.MsgKind) core.Message {
+	sh.asked[k] = true
+	free := sh.msgFree[k]
+	n := len(free) - 1
+	if n < 0 {
+		return nil
 	}
-	return &core.Gossip{}
+	m := free[n]
+	free[n] = nil
+	sh.msgFree[k] = free[:n]
+	return m
 }
 
-func (e *env) GetMulticast() *core.Multicast {
-	sh := e.sh
-	if n := len(sh.mcFree) - 1; n >= 0 {
-		m := sh.mcFree[n]
-		sh.mcFree = sh.mcFree[:n]
-		return m
+// pooled returns a released struct of P's kind, or a new one.
+func pooled[T any, P interface {
+	*T
+	core.Message
+}](sh *simShard) P {
+	if m := sh.reuse(P(nil).Kind()); m != nil {
+		return m.(P)
 	}
-	return &core.Multicast{}
+	return new(T)
 }
 
-func (e *env) GetPullRequest() *core.PullRequest {
-	sh := e.sh
-	if n := len(sh.prFree) - 1; n >= 0 {
-		p := sh.prFree[n]
-		sh.prFree = sh.prFree[:n]
-		return p
-	}
-	return &core.PullRequest{}
-}
+func (e *env) GetGossip() *core.Gossip           { return pooled[core.Gossip](e.sh) }
+func (e *env) GetMulticast() *core.Multicast     { return pooled[core.Multicast](e.sh) }
+func (e *env) GetPullRequest() *core.PullRequest { return pooled[core.PullRequest](e.sh) }
+func (e *env) Reuse(k core.MsgKind) core.Message { return e.sh.reuse(k) }
 
-// releaseMsg returns a pooled wire struct to this shard's free list.
-// Every Gossip/Multicast/PullRequest flowing through Cluster.send
-// originates from the pools above (core obtains them via the
-// MessagePool capability); other message kinds are left to the garbage
-// collector. A struct that crossed shards is released into the
-// receiving shard's pool — safe, since it changed owners at a barrier.
+// releaseMsg returns a delivered wire struct to this shard's free list
+// for its kind. Only the kinds core has asked for are kept: core builds
+// every struct of such a kind through the MessagePool or ControlPool
+// capability, so each free list drains as fast as it fills, and a kind
+// core allocates itself is left to the garbage collector. A struct that
+// crossed shards is released into the receiving shard's pool — safe,
+// since it changed owners at a barrier.
 func (sh *simShard) releaseMsg(m core.Message) {
+	k := m.Kind()
+	if !sh.asked[k] {
+		return
+	}
 	switch v := m.(type) {
 	case *core.Gossip:
 		v.IDs = v.IDs[:0]
@@ -800,14 +810,12 @@ func (sh *simShard) releaseMsg(m core.Message) {
 		v.Obits = v.Obits[:0]
 		v.Syms = v.Syms[:0]
 		v.Degrees = core.Degrees{}
-		sh.gossipFree = append(sh.gossipFree, v)
 	case *core.Multicast:
 		*v = core.Multicast{}
-		sh.mcFree = append(sh.mcFree, v)
 	case *core.PullRequest:
 		v.IDs = v.IDs[:0]
-		sh.prFree = append(sh.prFree, v)
 	}
+	sh.msgFree[k] = append(sh.msgFree[k], m)
 }
 
 // live reports whether this env's life is still the slot's current one.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -228,12 +229,14 @@ func TestBatchRandMatchesMathRand(t *testing.T) {
 
 // TestPeerStateBudget pins what a node's per-peer state costs: after 60
 // virtual seconds of overlay set-up with 256 nodes, the mean of
-// core.Node.StateBytes stays within budget and every view keeps its
-// 16-byte records in one array sized to the view. The budget is about 7 %
-// above the measured 10,320 B, where 48-byte view entries and 16-byte RTT
-// slots made it 18,937 B.
+// core.Node.StateBytes stays within budget, every view keeps its 16-byte
+// records in one array sized to the view, and its index takes at most
+// 512 B. The budget is about 7 % above the measured 9,832 B: it was
+// 11,000 B over 10,320 B until the compact view index returned 512 B of
+// the 1,024 B index, and 48-byte view entries and 16-byte RTT slots once
+// made the mean 18,937 B.
 func TestPeerStateBudget(t *testing.T) {
-	const nodes, budget = 256, 11_000
+	const nodes, budget = 256, 11_000 - 512
 	cfg := core.DefaultConfig()
 	c := New(Options{Nodes: nodes, Seed: 1, Config: cfg, Matrix: latency.Synthesize(nodes, 424242)})
 	c.BootstrapMembership(cfg.MemberViewSize / 2)
@@ -246,9 +249,41 @@ func TestPeerStateBudget(t *testing.T) {
 		if b.View != 16*cfg.MemberViewSize {
 			t.Fatalf("node %d view holds %d bytes, want %d (16-byte records, one array)", i, b.View, 16*cfg.MemberViewSize)
 		}
+		if b.ViewIndex > 512 {
+			t.Fatalf("node %d view index takes %d bytes, want at most 512", i, b.ViewIndex)
+		}
 		total += b.Total()
 	}
 	if mean := total / nodes; mean > budget {
 		t.Fatalf("per-peer state averages %d bytes per node, budget %d; node 0: %+v", mean, budget, c.Node(0).StateBytes())
+	}
+}
+
+// TestConvergeMallocsPerEvent bounds the garbage of overlay set-up: over
+// a steady-state window of converge with 512 nodes (virtual seconds 30 to
+// 150 of the benchmark's sim-seq set-up), the heap allocations per
+// executed event stay within budget. The window measured 0.242 per event
+// (602,246 mallocs over 2,486,277 events) while every probe, link request
+// and tree message was a new struct. With those recycled through
+// core.ControlPool it measured 0.0019 (4,639 mallocs), the budget.
+func TestConvergeMallocsPerEvent(t *testing.T) {
+	const nodes, budget = 512, 0.002
+	cfg := core.DefaultConfig()
+	c := New(Options{Nodes: nodes, Seed: 1, Config: cfg, Matrix: latency.Synthesize(nodes, 424242)})
+	c.BootstrapMembership(cfg.MemberViewSize / 2)
+	c.WireRandom(cfg.TargetDegree() / 2)
+	c.Start(0)
+	c.Run(30 * time.Second)
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	ev0 := c.ExecutedEvents()
+	c.Run(120 * time.Second)
+	runtime.ReadMemStats(&ms1)
+	events := c.ExecutedEvents() - ev0
+	perEvent := float64(ms1.Mallocs-ms0.Mallocs) / float64(events)
+	t.Logf("%d mallocs, %.1f MB over %d events: %.4f per event", ms1.Mallocs-ms0.Mallocs, float64(ms1.TotalAlloc-ms0.TotalAlloc)/1e6, events, perEvent)
+	if perEvent > budget {
+		t.Fatalf("converge allocates %.4f times per event, budget %.3f", perEvent, budget)
 	}
 }
